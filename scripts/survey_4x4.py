@@ -11,7 +11,7 @@ import argparse
 import sys
 import time
 
-from polarkit import enumerate_kernels, export_survey, group_survey, invertible_summary
+from polarkit import export_survey, invertible_summary, survey_family
 
 PUBLISHED = (11, 192, 18624)
 
@@ -24,7 +24,7 @@ def main() -> int:
     args = parser.parse_args()
 
     start = time.perf_counter()
-    records = group_survey(enumerate_kernels(4, "all"), args.eps, args.depth)
+    records = survey_family(4, "all", args.eps, args.depth)
     export_survey(records, args.out)
     summary = invertible_summary(records)
     computed = (

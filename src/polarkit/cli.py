@@ -135,9 +135,7 @@ def _cmd_survey(ns) -> int:
     depth = ns.depth if ns.depth is not None else (7 if ns.size == 3 else 5)
     if depth < 1:
         raise UsageError("--depth must be >= 1")
-    records = survey_mod.group_survey(
-        enumerate_kernels(ns.size, ns.family), ns.eps, depth
-    )
+    records = survey_mod.survey_family(ns.size, ns.family, ns.eps, depth)
     if ns.out:
         survey_mod.export_survey(records, _out_path(ns.out))
     total = sum(r.member_count for r in records)
@@ -154,7 +152,9 @@ def _cmd_survey(ns) -> int:
 def _cmd_exponent(ns) -> int:
     if ns.kernel:
         kernels = [parse_kernel(text) for text in ns.kernel]
-    elif ns.size:
+    elif ns.size is not None:
+        if ns.size < 2:
+            raise UsageError("--size must be >= 2")
         kernels = list(enumerate_kernels(ns.size, ns.family))
     else:
         raise UsageError("provide --kernel or --size")
@@ -171,6 +171,8 @@ def _cmd_exponent(ns) -> int:
 def _cmd_bound(ns) -> int:
     kernel = parse_kernel(ns.kernel)
     _check_eps(ns.eps)
+    if ns.depth < 0:
+        raise UsageError("--depth must be >= 0")
     try:
         rates = [float(r) for r in ns.rates.split(",") if r]
     except ValueError as exc:
@@ -224,7 +226,9 @@ def _cmd_simulate(ns) -> int:
                 code = PolarCode.from_json_dict(json.load(fh))
         except FileNotFoundError as exc:
             raise UsageError(f"code file not found: {exc.filename}") from None
-        except (KeyError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
+            # JSONDecodeError is a ValueError; every field check raises one
+            # of these three.
             raise UsageError(f"bad code descriptor: {exc}") from None
     elif ns.kernel and ns.depth is not None:
         kernel = parse_kernel(ns.kernel)

@@ -164,12 +164,23 @@ class PolarCode:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PolarCode":
+        """Inverse of `to_json_dict`; raises KeyError, TypeError or ValueError
+        on a malformed descriptor."""
+        if not isinstance(d, dict):
+            raise TypeError("code descriptor must be a JSON object")
+        if d.get("index_base", 0) != 0:
+            raise ValueError(
+                f"unsupported index_base {d['index_base']!r}: indices are 0-based"
+            )
+        depth = d["depth"]
+        if not isinstance(depth, int) or isinstance(depth, bool):
+            raise TypeError(f"code depth must be an integer, got {depth!r}")
         kernel = Kernel.from_json_dict(d["kernel"])
         mask = np.array([int(c) for c in d["frozen_mask"]], dtype=np.uint8)
         vals = np.array([int(c) for c in d["frozen_values"]], dtype=np.uint8)
         return cls(
             kernel=kernel,
-            depth=int(d["depth"]),
+            depth=depth,
             frozen_mask=mask,
             frozen_values=vals,
             design_eps=float(d["design_eps"]),

@@ -18,6 +18,10 @@ import numpy as np
 from . import gf2
 from .errors import BudgetExceededError, KernelFormatError
 
+#: largest kernel family `family_rows` enumerates: 2^16 members admits every
+#: 4x4 matrix and every lower-triangular family up to 6x6
+_MAX_FAMILY_BITS = 16
+
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
@@ -42,6 +46,12 @@ class Kernel:
         """Rows as integers, bit j (LSB first) holding column j."""
         weights = 1 << np.arange(self.l)
         return tuple(int(x) for x in self.matrix @ weights)
+
+    @classmethod
+    def from_row_bits(cls, rows) -> "Kernel":
+        """The l x l kernel whose row r holds column c at bit c of rows[r]."""
+        rows = np.asarray(rows, dtype=np.uint32)
+        return cls((rows[:, None] >> np.arange(rows.shape[0], dtype=np.uint32)) & 1)
 
     def row_strings(self) -> tuple[str, ...]:
         return tuple("".join(str(int(b)) for b in row) for row in self.matrix)
@@ -134,31 +144,47 @@ def rate_exponent_table(family: Sequence[Kernel]) -> list[tuple[Kernel, float]]:
     return [(k, partial_distances(k).exponent) for k in family]
 
 
-def enumerate_kernels(l: int, family: str = "all") -> Iterator[Kernel]:
-    """Yield every kernel of a family in deterministic binary-counting order.
+def family_rows(l: int, family: str = "all") -> np.ndarray:
+    """Row bits of every kernel of a family, shape (M, l), dtype uint32.
 
-    Free entries are filled row-major from a counter whose least significant
-    bit is the last free entry, so the all-zero filling comes first. The
+    Bit c of entry [m, r] holds column c of row r of kernel m, as in
+    `Kernel.row_bits`. Kernels come in binary-counting order: free entries
+    are filled row-major from a counter whose least significant bit is the
+    last free entry, so the all-zero filling comes first. The
     "lower_triangular_unit_diagonal" family fixes the diagonal to 1 and the
     strict upper triangle to 0; "all" ranges over every l*l matrix, singular
-    ones included.
+    ones included. Families above 2^_MAX_FAMILY_BITS members raise
+    BudgetExceededError before anything is allocated.
     """
     if l < 2:
         raise ValueError("kernel size must be at least 2")
     if family == "all":
-        free = [(r, c) for r in range(l) for c in range(l)]
-        base = np.zeros((l, l), dtype=np.uint8)
+        nbits = l * l
     elif family == "lower_triangular_unit_diagonal":
-        free = [(r, c) for r in range(l) for c in range(l) if c < r]
-        base = np.eye(l, dtype=np.uint8)
+        nbits = l * (l - 1) // 2
     else:
         raise ValueError(f"unknown kernel family {family!r}")
-    nbits = len(free)
-    for counter in range(1 << nbits):
-        m = base.copy()
-        for pos, (r, c) in enumerate(free):
-            m[r, c] = (counter >> (nbits - 1 - pos)) & 1
-        yield Kernel(m)
+    if nbits > _MAX_FAMILY_BITS:
+        raise BudgetExceededError(
+            f"the {family} family of {l}x{l} kernels has 2^{nbits} members, "
+            f"above the budget of 2^{_MAX_FAMILY_BITS}"
+        )
+    if family == "all":
+        free = [(r, c) for r in range(l) for c in range(l)]
+        base = np.zeros(l, dtype=np.uint32)
+    else:
+        free = [(r, c) for r in range(l) for c in range(r)]
+        base = (1 << np.arange(l)).astype(np.uint32)
+    counter = np.arange(1 << nbits, dtype=np.uint32)
+    rows = np.tile(base, (counter.shape[0], 1))
+    for pos, (r, c) in enumerate(free):
+        rows[:, r] |= ((counter >> (nbits - 1 - pos)) & 1) << c
+    return rows
+
+
+def enumerate_kernels(l: int, family: str = "all") -> Iterator[Kernel]:
+    """Every kernel of a family, in `family_rows` order."""
+    return (Kernel.from_row_bits(r) for r in family_rows(l, family))
 
 
 def kronecker_generator(k: Kernel, n: int, max_size: int = 4096) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -150,3 +151,60 @@ def test_no_partial_file_on_failed_write(tmp_path):
               "--out", str(blocker)])
     assert rc == 3
     assert not any(p.is_file() for p in target_dir.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["survey", "--size", "6"],
+        ["exponent", "--size", "6", "--family", "all"],
+        ["survey", "--size", "5", "--family", "all"],
+    ],
+)
+def test_oversized_family_refused_with_exit_3(argv, capsys):
+    assert run(argv) == 3
+    assert "members, above the budget" in capsys.readouterr().err
+
+
+def _write_code(tmp_path, **changes):
+    path = tmp_path / "code.json"
+    assert run(["construct", "--kernel", "10,11", "--depth", "2", "--rate", "0.5",
+                "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"depth": None}, {"frozen_mask": "0120"}, {"index_base": 1}],
+    ids=["depth_null", "non_binary_mask", "index_base_1"],
+)
+def test_malformed_code_descriptor_exits_2(tmp_path, capsys, changes):
+    path = _write_code(tmp_path, **changes)
+    capsys.readouterr()
+    assert run(["simulate", "--code", str(path), "--eps", "0.5",
+                "--max-trials", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad code descriptor")
+
+
+def test_bound_negative_depth_exits_2(capsys):
+    assert run(["bound", "--kernel", "10,11", "--depth", "-1",
+                "--rates", "0.5"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_survey_4x4_csv_matches_published_census(tmp_path, capsys):
+    out = tmp_path / "survey.csv"
+    assert run(["survey", "--size", "4", "--family", "all", "--eps", "0.5",
+                "--depth", "5", "--out", str(out)]) == 0
+    assert "invertible_curves=11 best_group_size=192" in capsys.readouterr().out
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == (
+        "390db381d7d5f10f1f6ede3d6edf4ad46c37c853c6d6195fa481416f4ad8bdd3"
+    )
+
+
+def test_exponent_size_below_two_exits_2():
+    assert run(["exponent", "--size", "1"]) == 2

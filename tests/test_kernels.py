@@ -9,6 +9,7 @@ from polarkit import (
     KernelFormatError,
     digit_reversal_permutation,
     enumerate_kernels,
+    family_rows,
     kronecker_generator,
     parse_kernel,
     partial_distances,
@@ -164,3 +165,29 @@ def test_reference_generator_g2_depth2():
     assert np.array_equal(
         ref, [[1, 0, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0], [1, 1, 1, 1]]
     )
+
+
+@pytest.mark.parametrize(
+    "l,family",
+    [(2, "all"), (3, "all"), (4, "all"),
+     (3, "lower_triangular_unit_diagonal"), (4, "lower_triangular_unit_diagonal"),
+     (5, "lower_triangular_unit_diagonal")],
+)
+def test_family_rows_match_enumerated_kernels(l, family):
+    rows = family_rows(l, family)
+    assert rows.dtype == np.uint32 and rows.shape == (rows.shape[0], l)
+    want = np.array([k.row_bits() for k in enumerate_kernels(l, family)])
+    assert np.array_equal(rows, want)
+
+
+def test_family_rows_budget():
+    assert family_rows(6, "lower_triangular_unit_diagonal").shape == (1 << 15, 6)
+    with pytest.raises(BudgetExceededError, match="5x5"):
+        family_rows(5, "all")
+    with pytest.raises(BudgetExceededError):
+        enumerate_kernels(6, "all")
+
+
+def test_kernel_from_row_bits_round_trip():
+    k = parse_kernel("1000,1001,0101,1111")
+    assert Kernel.from_row_bits(k.row_bits()) == k

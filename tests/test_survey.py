@@ -12,8 +12,9 @@ from polarkit import (
     one_step_profile,
     parse_kernel,
     signature,
+    survey_family,
 )
-from polarkit.survey import survey_csv_text
+from polarkit.survey import _unique_rows, survey_csv_text
 
 G2 = parse_kernel("10,11")
 
@@ -161,3 +162,29 @@ def test_export_survey_surfaces_path_on_failure(tmp_path):
     target = bad / "sub.csv"  # parent is a file -> I/O error
     with pytest.raises(OSError, match="sub.csv"):
         export_survey(records, target)
+
+
+@pytest.mark.parametrize(
+    "l,family,depth",
+    [(3, "all", 7), (3, "lower_triangular_unit_diagonal", 5),
+     (3, "lower_triangular_unit_diagonal", 7)],
+)
+def test_survey_family_matches_group_survey(l, family, depth):
+    a = survey_csv_text(survey_family(l, family, 0.5, depth))
+    b = survey_csv_text(group_survey(enumerate_kernels(l, family), 0.5, depth))
+    assert a == b
+
+
+def test_survey_family_representatives_are_first_members():
+    for rec in survey_family(3, "all", 0.5, 5):
+        assert rec.representative.descriptor() == rec.members[0].descriptor
+        assert rec.representative.invertible == (rec.members[0].exponent is not None)
+
+
+def test_unique_rows_matches_numpy_unique():
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 3, (500, 4))
+    want, want_inverse = np.unique(a, axis=0, return_inverse=True)
+    got, got_inverse = _unique_rows(a)
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_inverse, want_inverse.reshape(-1))
