@@ -20,11 +20,21 @@ import numpy as np
 from . import bec, survey as survey_mod
 from .codec import PolarCode
 from .errors import BudgetExceededError, KernelFormatError
-from .kernels import enumerate_kernels, parse_kernel, partial_distances
+# enumerate_kernels is unused here but stays importable: bench/tracing.py
+# hooks `polarkit.cli.enumerate_kernels`.
+from .kernels import (  # noqa: F401
+    enumerate_kernels,
+    exponent_from_distances,
+    family_rows,
+    parse_kernel,
+    row_descriptors,
+)
 from .ioutil import atomic_write_text
 from .sim import StopRule, run_monte_carlo, sim_csv_text
 
 _ORACLE_EPS = (0.1, 0.3, 0.5, 0.7, 0.9)
+#: partial distances walk 2^(l-1) row combinations; larger kernels are refused
+_MAX_EXPONENT_SIZE = 20
 _ORACLE_TOL = 1e-12
 
 
@@ -152,19 +162,27 @@ def _cmd_survey(ns) -> int:
 def _cmd_exponent(ns) -> int:
     if ns.kernel:
         kernels = [parse_kernel(text) for text in ns.kernel]
+        if any(k.l > _MAX_EXPONENT_SIZE for k in kernels):
+            raise BudgetExceededError(
+                f"partial distances of kernels above size {_MAX_EXPONENT_SIZE} "
+                "are not supported"
+            )
+        batches = [np.array([k.row_bits()], dtype=np.uint32) for k in kernels]
     elif ns.size is not None:
         if ns.size < 2:
             raise UsageError("--size must be >= 2")
-        kernels = list(enumerate_kernels(ns.size, ns.family))
+        batches = [family_rows(ns.size, ns.family)]
     else:
         raise UsageError("provide --kernel or --size")
-    for k in kernels:
-        if not k.invertible:
-            print(f"{k.descriptor()}  singular")
-            continue
-        pd = partial_distances(k)
-        d = ",".join(str(x) for x in pd.d)
-        print(f"{k.descriptor()}  d=({d})  exponent={pd.exponent:.12g}")
+    for rows in batches:
+        l = rows.shape[1]
+        dists = survey_mod._batch_distances(rows, l).tolist()
+        for desc, d in zip(row_descriptors(rows), dists):
+            if 0 in d:
+                print(f"{desc}  singular")
+                continue
+            exponent = exponent_from_distances(d, l)
+            print(f"{desc}  d=({','.join(map(str, d))})  exponent={exponent:.12g}")
     return 0
 
 

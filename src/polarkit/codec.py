@@ -1,22 +1,29 @@
 """Polar encoder and successive-cancellation decoder over the BEC.
 
-The encoder applies the kernel to consecutive blocks of l inputs at every
-level and routes the results to child blocks through the stride permutation;
-the induced overall map equals the digit-reversed Kronecker power of the
-kernel.
+The transform of depth n is the plain Kronecker power G^(x n) of the kernel
+with its output positions digit-reversed (equivalently, the kernel applied to
+consecutive blocks of l inputs at every level, followed by the stride
+permutation). The encoder multiplies by G^(x n) one base-l digit of the index
+at a time and then reverses the digits of the positions.
 
-The SC decoder walks the same recursion in reverse. Each tree node of size m
-decodes its inputs in rounds of l: it queries its l children for the symbol of
-their current index, decides the round's inputs one at a time with an exact
-GF(2) determination test, and forwards the kernel's column combinations of the
-decided block to the children as their next committed inputs. Over the BEC
-every intermediate quantity is one of four states: a known 0, a known 1, an
-erasure (both values equally likely), or an impossible state in which both
-values have probability zero. The fourth state arises only after an ambiguous
-information bit was defaulted and later observations contradict the default;
-it is tracked internally so the decoder reproduces the brute-force sequential
-MAP decisions bit for bit, ambiguous and contradictory positions both
-defaulting to zero with the erasure flag set.
+The SC decoder digit-reverses the received word once, which turns the code
+into the plain Kronecker power z = u G^(x n), and then follows Arıkan's block
+recursion ("Channel polarization", IEEE Trans. IT 2009). A node of size m
+splits its inputs into l contiguous blocks of m/l. For block t it computes
+all m/l messages at once with an exact GF(2) determination test over the l
+message columns, recurses, and folds the block's re-encoding into the
+already-decided part of every column. Over the BEC every message is a known
+0, a known 1 or an erasure. A node whose inputs are all frozen is not
+descended into: its re-encoding is that of the frozen values (Alamdar-Yazdi
+and Kschischang, IEEE Comm. Letters 2011).
+
+Kernels are invertible, so every received word agrees with some input, and
+the sequential-MAP set of inputs that agree with the word and the decisions so
+far can empty only at a frozen input whose message is known and differs from
+its frozen value. One poison bit per frame records that event; afterwards
+every information decision of the frame defaults to zero with the erasure
+flag set, exactly as the brute-force sequential MAP oracle decides, so the
+decoder matches it bit for bit on every input, honest or not.
 
 All indices (bits, channels, rounds) are 0-based; serialised artifacts use
 0-based indices as well.
@@ -25,6 +32,7 @@ All indices (bits, channels, rounds) are 0-based; serialised artifacts use
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -33,9 +41,7 @@ import numpy as np
 from . import gf2
 from .errors import BudgetExceededError, DecodingIntegrityError
 from .bec import evolve_spectrum, select_information_set
-from .kernels import Kernel
-
-_BOT = 3  # internal zero-probability state; never escapes the decoder
+from .kernels import Kernel, digit_reversal_permutation
 
 
 class Symbol(IntEnum):
@@ -205,21 +211,27 @@ class DecodeResult:
 # encoding
 
 
+def _kron_encode(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Rows of `u` times the plain Kronecker power of `g` over GF(2).
+
+    `u` has shape (B, l^k); the kernel is applied along each base-l digit of
+    the column index in turn.
+    """
+    l = g.shape[0]
+    gt = np.ascontiguousarray(g.T, dtype=np.uint8)  # column sums <= l fit uint8
+    x = u.astype(np.uint8)
+    step = 1
+    while step < u.shape[1]:
+        x = (gt @ x.reshape(-1, l, step)) & 1
+        step *= l
+    return x.reshape(u.shape)
+
+
 def _encode_batch(kernel: Kernel, bits: np.ndarray) -> np.ndarray:
     """Encode a (B, N) batch of input rows; returns a (B, N) codeword batch."""
-    l = kernel.l
-    g = kernel.matrix.astype(np.int64)
-
-    def rec(u: np.ndarray) -> np.ndarray:
-        m = u.shape[1]
-        if m == 1:
-            return u
-        s = (u.reshape(-1, m // l, l) @ g) & 1
-        # Stride permutation: residue class c feeds child c, which owns the
-        # c-th block of output positions.
-        return np.concatenate([rec(s[:, :, c]) for c in range(l)], axis=1)
-
-    return rec(bits.astype(np.int64)).astype(np.uint8)
+    depth = round(math.log(bits.shape[1], kernel.l))
+    z = _kron_encode(kernel.matrix, bits)
+    return z[:, digit_reversal_permutation(kernel.l, depth)]
 
 
 def encode(code: PolarCode, u) -> np.ndarray:
@@ -243,9 +255,6 @@ def _round_tables(kernel: Kernel):
     observation columns:
       DET[t, kappa]   -- is u_t determined?
       LAM[t, kappa]   -- column mask whose residual parity gives the value
-      CHK[t, kappa]   -- up to l parity-check masks; a nonzero parity on any
-                         of them means the residuals are inconsistent (the
-                         zero-probability state)
 
     The returned arrays are immutable and shared between concurrent decodes.
     """
@@ -258,7 +267,6 @@ def _round_tables(kernel: Kernel):
     m = kernel.matrix
     det = np.zeros((l, 1 << l), dtype=bool)
     lam = np.zeros((l, 1 << l), dtype=np.uint32)
-    chk = np.zeros((l, 1 << l, l), dtype=np.uint32)
     e0 = np.zeros(l, dtype=np.uint8)
     for t in range(l):
         target = e0[: l - t].copy()
@@ -270,14 +278,9 @@ def _round_tables(kernel: Kernel):
             if sol is not None:
                 det[t, kappa] = True
                 lam[t, kappa] = sum(1 << cols[j] for j in range(len(cols)) if sol[j])
-            null = gf2.null_space(a)
-            for r in range(null.shape[0]):
-                chk[t, kappa, r] = sum(
-                    1 << cols[j] for j in range(len(cols)) if null[r, j]
-                )
-    for arr in (det, lam, chk):
+    for arr in (det, lam):
         arr.setflags(write=False)
-    return det, lam, chk
+    return det, lam
 
 
 _PARITY8 = np.array([bin(x).count("1") & 1 for x in range(256)], dtype=np.uint8)
@@ -332,95 +335,6 @@ def kernel_step_decide(k: Kernel, pos: int, prior, observed) -> Symbol:
 # successive cancellation over batches
 
 
-class _Node:
-    __slots__ = ("size", "children", "y_col", "kappa", "obs", "bot", "prior", "poison")
-
-    def __init__(self, size: int, offset: int, l: int):
-        self.size = size
-        if size == 1:
-            self.children = None
-            self.y_col = offset
-        else:
-            step = size // l
-            self.children = [_Node(step, offset + c * step, l) for c in range(l)]
-
-
-class _ScEngine:
-    """Batched SC decoder; decode_batch builds one per call so concurrent
-    decodes of a shared code never touch shared mutable state."""
-
-    def __init__(self, code: PolarCode):
-        self.code = code
-        self.l = code.kernel.l
-        self.det, self.lam, self.chk = _round_tables(code.kernel)
-        self.row_bits = np.array(code.kernel.row_bits(), dtype=np.uint32)
-        self.root = _Node(code.N, 0, self.l) if code.N > 1 else _Node(1, 0, self.l)
-
-    def _reset(self, node: _Node, batch: int):
-        if node.children is None:
-            return
-        node.prior = np.zeros(batch, dtype=np.uint32)
-        node.poison = np.zeros(batch, dtype=bool)
-        for child in node.children:
-            self._reset(child, batch)
-
-    def _query(self, node: _Node, phase: int) -> np.ndarray:
-        if node.children is None:
-            return self._y[:, node.y_col]
-        rnd, t = divmod(phase, self.l)
-        if t == 0:
-            kappa = np.zeros(self._batch, dtype=np.uint32)
-            obs = np.zeros(self._batch, dtype=np.uint32)
-            bot = np.zeros(self._batch, dtype=bool)
-            for c, child in enumerate(node.children):
-                a = self._query(child, rnd)
-                known = a <= 1
-                kappa |= known.astype(np.uint32) << np.uint32(c)
-                obs |= (a.astype(np.uint32) & known) << np.uint32(c)
-                bot |= a == _BOT
-            node.kappa, node.obs, node.bot = kappa, obs, bot
-            node.prior[:] = 0
-        kappa = node.kappa
-        rbits = (node.obs ^ node.prior) & kappa
-        determined = self.det[t][kappa]
-        value = _parity(self.lam[t][kappa] & rbits)
-        checks = self.chk[t][kappa]
-        violated = _parity(checks & rbits[:, None]).any(axis=1)
-        node.poison = node.poison | node.bot | violated
-        return np.where(
-            node.poison, _BOT, np.where(determined, value, Symbol.ERASED)
-        ).astype(np.uint8)
-
-    def _commit(self, node: _Node, phase: int, bits: np.ndarray):
-        if node.children is None:
-            return
-        rnd, t = divmod(phase, self.l)
-        node.prior = node.prior ^ bits.astype(np.uint32) * self.row_bits[t]
-        if t == self.l - 1:
-            for c, child in enumerate(node.children):
-                self._commit(child, rnd, ((node.prior >> np.uint32(c)) & 1))
-            node.prior[:] = 0
-
-    def decode(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        code = self.code
-        self._batch = y.shape[0]
-        self._y = y
-        self._reset(self.root, self._batch)
-        u_hat = np.empty((self._batch, code.N), dtype=np.uint8)
-        flags = np.zeros((self._batch, code.N), dtype=np.uint8)
-        for i in range(code.N):
-            sym = self._query(self.root, i)
-            if code.frozen_mask[i]:
-                decided = np.full(self._batch, code.frozen_values[i], dtype=np.uint8)
-            else:
-                decided = np.where(sym <= 1, sym, 0).astype(np.uint8)
-                flags[:, i] = sym >= 2
-            u_hat[:, i] = decided
-            self._commit(self.root, i, decided)
-        self._y = None
-        return u_hat, flags
-
-
 def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised sc_decode over a (B, N) symbol batch -> (u_hat, flags).
 
@@ -432,7 +346,45 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"expected shape (B, {code.N}), got {ys.shape}")
     if ys.size and not np.isin(ys, (0, 1, 2)).all():
         raise ValueError("received symbols must be 0, 1, or erased")
-    return _ScEngine(code).decode(ys)
+    l, batch = code.kernel.l, ys.shape[0]
+    det, lam = _round_tables(code.kernel)
+    row_bits = np.array(code.kernel.row_bits(), dtype=np.uint32)
+    shifts = np.arange(l, dtype=np.uint32)[:, None]
+    mask, values = code.frozen_mask, code.frozen_values
+    u_hat = np.empty((batch, code.N), dtype=np.uint8)
+    flags = np.zeros((batch, code.N), dtype=np.uint8)
+    poison = np.zeros(batch, dtype=bool)
+
+    def rec(msg: np.ndarray, lo: int) -> np.ndarray:
+        """Decode inputs lo..lo+m-1 from their m messages; return the
+        re-encoding of the decisions."""
+        nonlocal poison
+        m = msg.shape[1]
+        if mask[lo : lo + m].all():
+            # Rate-0 subtree: the decisions are the frozen values.
+            enc = _kron_encode(code.kernel.matrix, values[None, lo : lo + m])
+            u_hat[:, lo : lo + m] = values[lo : lo + m]
+            poison |= ((msg <= 1) & (msg != enc)).any(axis=1)
+            return np.broadcast_to(enc, msg.shape)
+        if m == 1:
+            bit = msg[:, 0]
+            flag = poison | (bit > 1)
+            u_hat[:, lo] = np.where(flag, 0, bit)
+            flags[:, lo] = flag
+            return u_hat[:, lo : lo + 1]
+        v = msg.reshape(batch, l, m // l)
+        known = (v <= 1).astype(np.uint32)
+        kappa = (known << shifts).sum(axis=1, dtype=np.uint32)
+        obs = ((v & known) << shifts).sum(axis=1, dtype=np.uint32)
+        prior = np.zeros_like(kappa)
+        for t in range(l):
+            value = _parity(lam[t][kappa] & (obs ^ prior) & kappa)
+            child = np.where(det[t][kappa], value, np.uint8(Symbol.ERASED))
+            prior ^= rec(child, lo + t * (m // l)) * row_bits[t]
+        return ((prior[:, None, :] >> shifts) & 1).astype(np.uint8).reshape(batch, m)
+
+    rec(ys[:, digit_reversal_permutation(l, code.depth)], 0)
+    return u_hat, flags
 
 
 def sc_decode(code: PolarCode, y) -> DecodeResult:
@@ -523,7 +475,7 @@ def _monotone_terms(kernel: Kernel) -> list[list[int]]:
     Determination is monotone in the set of non-erased columns, so the DET
     table collapses to an OR of ANDs over these minimal subsets.
     """
-    det, _, _ = _round_tables(kernel)
+    det, _ = _round_tables(kernel)
     l = kernel.l
     terms: list[list[int]] = []
     for t in range(l):

@@ -43,6 +43,18 @@ def rank(m) -> int:
     return r
 
 
+def packed_rank(rows) -> int:
+    """GF(2) rank of rows given as non-negative integers, one bit per column."""
+    basis: list[int] = []  # distinct leading bits, kept in decreasing order
+    for r in rows:
+        for b in basis:
+            r = min(r, r ^ b)  # clears b's leading bit from r if it is set
+        if r:
+            basis.append(r)
+            basis.sort(reverse=True)
+    return len(basis)
+
+
 def in_span(v, basis) -> bool:
     """True iff vector `v` is a GF(2) linear combination of the basis vectors.
 

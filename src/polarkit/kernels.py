@@ -40,12 +40,13 @@ class Kernel:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "l", m.shape[0])
-        object.__setattr__(self, "invertible", gf2.rank(m) == m.shape[0])
+        invertible = gf2.packed_rank(self.row_bits()) == self.l
+        object.__setattr__(self, "invertible", invertible)
 
     def row_bits(self) -> tuple[int, ...]:
         """Rows as integers, bit j (LSB first) holding column j."""
-        weights = 1 << np.arange(self.l)
-        return tuple(int(x) for x in self.matrix @ weights)
+        packed = np.packbits(self.matrix, axis=1, bitorder="little")
+        return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
 
     @classmethod
     def from_row_bits(cls, rows) -> "Kernel":
@@ -135,8 +136,12 @@ def partial_distances(k: Kernel) -> PartialDistances:
                     v ^= later[j]
                 best = min(best, int(v.sum()))
         d.append(best)
-    exponent = sum(math.log(x, l) for x in d) / l
-    return PartialDistances(d=tuple(d), exponent=exponent)
+    return PartialDistances(d=tuple(d), exponent=exponent_from_distances(d, l))
+
+
+def exponent_from_distances(d: Sequence[int], l: int) -> float:
+    """Rate exponent (1/l) * sum_i log_l(d_i) of nonzero partial distances."""
+    return sum(math.log(x, l) for x in d) / l
 
 
 def rate_exponent_table(family: Sequence[Kernel]) -> list[tuple[Kernel, float]]:
@@ -182,6 +187,14 @@ def family_rows(l: int, family: str = "all") -> np.ndarray:
     return rows
 
 
+def row_descriptors(rows: np.ndarray) -> list[str]:
+    """`Kernel.descriptor()` of every kernel in an (M, l) row-bit array."""
+    l = rows.shape[1]
+    # Row r's string lists columns 0..l-1, i.e. bits 0..l-1 of its row bits.
+    row_text = [format(v, f"0{l}b")[::-1] for v in range(1 << l)]
+    return [",".join([row_text[b] for b in r]) for r in rows.tolist()]
+
+
 def enumerate_kernels(l: int, family: str = "all") -> Iterator[Kernel]:
     """Every kernel of a family, in `family_rows` order."""
     return (Kernel.from_row_bits(r) for r in family_rows(l, family))
@@ -215,14 +228,9 @@ def digit_reversal_permutation(l: int, n: int) -> np.ndarray:
     if l < 2 or n < 0:
         raise ValueError("need l >= 2 and n >= 0")
     size = l**n
-    perm = np.zeros(size, dtype=np.int64)
-    for i in range(size):
-        x, rev = i, 0
-        for _ in range(n):
-            x, d = divmod(x, l)
-            rev = rev * l + d
-        perm[i] = rev
-    return perm
+    # Axis j of the reshaped range holds digit j; reversing the axes reverses
+    # the digits.
+    return np.arange(size, dtype=np.int64).reshape((l,) * n).transpose().reshape(size)
 
 
 def reference_generator(k: Kernel, n: int, max_size: int = 4096) -> np.ndarray:

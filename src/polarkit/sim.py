@@ -151,15 +151,15 @@ def _bit_transpose(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
     # copy(): the swap rounds below must never alias the caller's words
     tiles = words.reshape(rows // 64, 64, cols // 64).transpose(0, 2, 1)
     x = tiles.copy().reshape(-1, 64)
-    idx = np.arange(64)
     for s, m in _TRANSPOSE_MASKS:
         sh = np.uint64(s)
-        hi = idx[(idx & s) == 0]
-        lo = hi + s
-        a, b = x[:, hi], x[:, lo]
+        # Rows whose index has bit s clear pair with the rows s further on;
+        # both halves are views, so the swap runs in place.
+        v = x.reshape(-1, 64 // (2 * s), 2, s)
+        a, b = v[:, :, 0, :], v[:, :, 1, :]
         swap = (a ^ (b << sh)) & m
-        x[:, hi] = a ^ swap
-        x[:, lo] = b ^ (swap >> sh)
+        a ^= swap
+        b ^= swap >> sh
     tiles_t = x.reshape(rows // 64, cols // 64, 64).transpose(1, 2, 0)
     return np.ascontiguousarray(tiles_t).reshape(cols, rows // 64)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .bec import bernstein_eval, evolve_spectrum, one_step_profile, polarisation_distance
 from .errors import BudgetExceededError
 from .ioutil import atomic_write_text
-from .kernels import Kernel, family_rows
+from .kernels import Kernel, family_rows, row_descriptors
 
 #: componentwise tolerance for treating two distance curves as identical
 CURVE_TOL = 1e-12
@@ -183,8 +183,9 @@ def _batch_curves(counts: np.ndarray, eps0: float, depth: int) -> np.ndarray:
     return curves
 
 
-def _batch_exponents(rows: np.ndarray, l: int) -> np.ndarray:
-    """Rate exponents per kernel; NaN marks singular kernels."""
+def _batch_distances(rows: np.ndarray, l: int) -> np.ndarray:
+    """Partial distances per kernel, shape (M, l); a zero marks a row in the
+    span of the rows below it, i.e. a singular kernel."""
     m_count = rows.shape[0]
     dists = np.empty((m_count, l), dtype=np.int64)
     for i in range(l):
@@ -200,6 +201,13 @@ def _batch_exponents(rows: np.ndarray, l: int) -> np.ndarray:
                 best, np.bitwise_count((rows[:, i] ^ acc).astype(np.uint64))
             )
         dists[:, i] = best
+    return dists
+
+
+def _batch_exponents(rows: np.ndarray, l: int) -> np.ndarray:
+    """Rate exponents per kernel; NaN marks singular kernels."""
+    dists = _batch_distances(rows, l)
+    m_count = rows.shape[0]
     singular = (dists == 0).any(axis=1)
     exps = np.full(m_count, np.nan)
     good = ~singular
@@ -262,9 +270,7 @@ def _group_rows(rows: np.ndarray, l: int, eps0: float, depth: int) -> list[Group
         raw_groups.append((curve, members))
     raw_groups.sort(key=lambda g: (g[0][-1], g[0]))
 
-    # Row r's string lists columns 0..l-1, i.e. bits 0..l-1 of its row bits.
-    row_text = [format(v, f"0{l}b")[::-1] for v in range(1 << l)]
-    descriptors = [",".join([row_text[b] for b in r]) for r in rows.tolist()]
+    descriptors = row_descriptors(rows)
     exps = [None if math.isnan(x) else x for x in exponents.tolist()]
     records = []
     for gid, (curve, members) in enumerate(raw_groups, start=1):

@@ -208,3 +208,25 @@ def test_survey_4x4_csv_matches_published_census(tmp_path, capsys):
 
 def test_exponent_size_below_two_exits_2():
     assert run(["exponent", "--size", "1"]) == 2
+
+
+def test_exponent_size_output_matches_scalar_partial_distances(capsys):
+    from polarkit import enumerate_kernels, partial_distances
+
+    assert run(["exponent", "--size", "3", "--family", "all"]) == 0
+    want = []
+    for k in enumerate_kernels(3, "all"):
+        if not k.invertible:
+            want.append(f"{k.descriptor()}  singular")
+            continue
+        pd = partial_distances(k)
+        d = ",".join(str(x) for x in pd.d)
+        want.append(f"{k.descriptor()}  d=({d})  exponent={pd.exponent:.12g}")
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+
+def test_exponent_oversized_kernel_exits_3(capsys):
+    rows = ",".join("1" * 21 for _ in range(21))
+    assert run(["exponent", "--kernel", "10,11", "--kernel", rows]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not supported" in captured.err

@@ -482,3 +482,71 @@ def test_genie_flags_prefix_agreement():
             g[0] if g.size else info.size - 1, d[0] if d.size else info.size - 1
         )
         assert np.array_equal(g_info[: first + 1], d_info[: first + 1])
+
+
+# ------------------------------------------------ decoder vs MAP, exhaustive
+
+
+def random_invertible_kernels(seed, sizes):
+    from polarkit import Kernel, gf2
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for l in sizes:
+        while True:
+            m = rng.integers(0, 2, (l, l), dtype=np.uint8)
+            if gf2.rank(m) == l:
+                out.append(Kernel(m))
+                break
+    return out
+
+
+@pytest.mark.parametrize(
+    "kernel", [G101] + random_invertible_kernels(606, [3, 3, 4, 4, 5, 5]),
+    ids=repr,
+)
+def test_sc_matches_map_every_input_every_mask(kernel):
+    l = kernel.l
+    pats = all_patterns(l)
+    rng = np.random.default_rng(l)
+    for mask_bits in range(1 << l):
+        mask = ((mask_bits >> np.arange(l)) & 1).astype(np.uint8)
+        vals = rng.integers(0, 2, l, dtype=np.uint8) * mask
+        code = PolarCode(kernel=kernel, depth=1, frozen_mask=mask, frozen_values=vals)
+        u_sc, f_sc = decode_batch(code, pats)
+        u_mp, f_mp = _map_decode_batch(code, pats)
+        assert np.array_equal(u_sc, u_mp)
+        assert np.array_equal(f_sc, f_mp)
+
+
+def test_sc_matches_map_g101_depth2_random_frozen_values():
+    # depth 2 has inner rate-0 subtrees whose frozen values re-encode to
+    # nonzero words
+    pats = all_patterns(9)
+    rng = np.random.default_rng(99)
+    masks = [np.repeat([1, 0, 0], 3), np.repeat([1, 1, 0], 3)]
+    masks += [rng.integers(0, 2, 9) for _ in range(10)]
+    for mask in masks:
+        mask = mask.astype(np.uint8)
+        vals = rng.integers(0, 2, 9, dtype=np.uint8) * mask
+        code = PolarCode(kernel=G101, depth=2, frozen_mask=mask, frozen_values=vals)
+        u_sc, f_sc = decode_batch(code, pats)
+        u_mp, f_mp = _map_decode_batch(code, pats)
+        assert np.array_equal(u_sc, u_mp)
+        assert np.array_equal(f_sc, f_mp)
+
+
+@pytest.mark.parametrize("kernel,depth", [(G2, 6), (G101, 3)])
+def test_batch_decode_of_random_symbols_equals_per_row_decode(kernel, depth):
+    # uniformly random symbols are mostly inconsistent with the frozen values,
+    # so frames are poisoned at different positions within one batch
+    rng = np.random.default_rng(64 + depth)
+    n = kernel.l**depth
+    frozen_bits = rng.integers(0, 2, n - n // 2)
+    code = PolarCode.construct(kernel, depth, n // 2, 0.5, frozen_bits=frozen_bits)
+    ys = rng.integers(0, 3, (200, n)).astype(np.uint8)
+    u_b, f_b = decode_batch(code, ys)
+    for row in range(ys.shape[0]):
+        res = sc_decode(code, ys[row])
+        assert np.array_equal(res.u_hat, u_b[row])
+        assert np.array_equal(res.erased_flags, f_b[row])

@@ -114,3 +114,10 @@ def test_kron_matches_numpy_parity():
     a = np.array([[1, 0], [1, 1]], dtype=np.uint8)
     b = np.eye(2, dtype=np.uint8)
     assert np.array_equal(gf2.kron(a, b), np.kron(a, b) % 2)
+
+
+@given(bit_matrices)
+@settings(max_examples=100, deadline=None)
+def test_packed_rank_matches_rank(m):
+    rows = [int("".join(map(str, r[::-1])), 2) for r in m.tolist()]
+    assert gf2.packed_rank(rows) == gf2.rank(m)

@@ -191,3 +191,26 @@ def test_family_rows_budget():
 def test_kernel_from_row_bits_round_trip():
     k = parse_kernel("1000,1001,0101,1111")
     assert Kernel.from_row_bits(k.row_bits()) == k
+
+
+def test_invertible_flag_matches_gf2_rank_on_every_4x4_kernel():
+    count = 0
+    for k in enumerate_kernels(4, "all"):
+        assert k.invertible == (gf2.rank(k.matrix) == 4)
+        count += k.invertible
+    assert count == 20_160
+
+
+def test_digit_reversal_values():
+    assert digit_reversal_permutation(2, 3).tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
+    assert digit_reversal_permutation(3, 2).tolist() == [0, 3, 6, 1, 4, 7, 2, 5, 8]
+    assert digit_reversal_permutation(5, 0).tolist() == [0]
+
+
+def test_invertible_flag_beyond_64_columns():
+    eye = np.eye(70, dtype=np.uint8)
+    assert Kernel(eye).invertible
+    assert Kernel(eye).row_bits()[69] == 1 << 69
+    dup = eye.copy()
+    dup[69] = dup[0] ^ dup[1]
+    assert not Kernel(dup).invertible

@@ -192,3 +192,17 @@ def test_sim_csv_layout():
     fields = row.split(",")
     assert fields[0] == "0.5" and fields[1] == "8" and fields[2] == "4"
     assert fields[-1] == "12"
+
+
+@pytest.mark.parametrize("rows,cols", [(64, 64), (128, 1024), (640, 192)])
+def test_bit_transpose_matches_unpacked_transpose(rows, cols):
+    from polarkit.sim import _bit_transpose
+
+    rng = np.random.default_rng(rows + cols)
+    bits = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+    words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64).reshape(-1)
+    before = words.copy()
+    got = _bit_transpose(words, rows, cols)
+    want = np.packbits(bits.T.copy(), axis=1, bitorder="little").view(np.uint64)
+    assert np.array_equal(got, want)
+    assert np.array_equal(words, before)
