@@ -505,22 +505,30 @@ def _screen_known_planes(
     result depends only on the erasure pattern, not on transmitted values.
     """
     l = kernel.l
-    terms = _monotone_terms(kernel)
+    terms = [
+        [[c for c in range(l) if (kappa >> c) & 1] for kappa in kappas]
+        for kappas in _monotone_terms(kernel)
+    ]
     cur = known
     n_wires, width = known.shape
     m = l
     while m <= n_wires:
         v = cur.reshape(-1, l, m // l, width)
         out = np.empty((v.shape[0], m // l, l, width), dtype=np.uint8)
+        buf = np.empty((v.shape[0], m // l, width), dtype=np.uint8)
         for t in range(l):
             acc = out[:, :, t, :]
-            acc[:] = 0
-            for kappa in terms[t]:
-                term = np.full((v.shape[0], m // l, width), 0xFF, dtype=np.uint8)
-                for c in range(l):
-                    if (kappa >> c) & 1:
-                        term &= v[:, c]
-                acc |= term
+            if not terms[t]:  # no set of outputs determines position t
+                acc[:] = 0
+            # The first term is written straight into acc, later ones into
+            # buf and OR-ed in; a one-column term is that column (x & x = x).
+            for i, cols in enumerate(terms[t]):
+                dst = buf if i else acc
+                np.bitwise_and(v[:, cols[0]], v[:, cols[-1]], out=dst)
+                for c in cols[1:-1]:
+                    dst &= v[:, c]
+                if i:
+                    acc |= buf
         cur = out.reshape(n_wires, width)
         m *= l
     return cur

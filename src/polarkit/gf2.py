@@ -14,7 +14,7 @@ def as_bits(a, ndim: int) -> np.ndarray:
     m = np.asarray(a)
     if m.ndim != ndim:
         raise ValueError(f"expected a {ndim}-dimensional array, got shape {m.shape}")
-    if m.size and not np.isin(m, (0, 1)).all():
+    if m.size and not ((m == 0) | (m == 1)).all():
         raise ValueError("entries must be 0 or 1")
     return m.astype(np.uint8)
 

@@ -15,14 +15,23 @@ counter-based so results are independent of execution order and batching):
 * Message bits: trial j draws K doubles from ``Philox(key=(seed, j))``; bit
   = (double < 0.5).
 
+Every eps goes through one channel path. `_known_rows` turns the stream into
+trial-major packed "known" rows (bit p of a row set iff symbol p arrived,
+rows padded to whole 64-bit words). Each k divides 64, so no subuniform
+straddles a word and the symbols are read in order from a view of the words
+(the words themselves for k = 64), with no index gather; for k = 1 with
+threshold 1 and N a multiple of 64 the rows are the raw words. A bit
+transpose turns a chunk's rows into one bitplane per output position, eight
+trials per byte.
+
 Most trials decode without any ambiguity, and over the BEC the frame-error
 event depends only on the erasure pattern: the first ambiguous information
 decision of the decoder coincides with the first genie-aided ambiguity
 (before it, every decision is determined and correct). run_monte_carlo
-therefore screens erasure patterns in bulk with the bit-packed genie
-recursion and runs the full decoder only on flagged frames; the tallies are
-exactly those of decoding every trial individually (verified in tests
-against the literal per-trial loop).
+therefore screens the bitplanes in bulk with the bit-packed genie recursion
+and runs the full decoder only on flagged frames, whose erasure rows it
+unpacks from the known rows; the tallies are exactly those of decoding every
+trial individually (verified in tests against the literal per-trial loop).
 """
 
 from __future__ import annotations
@@ -164,31 +173,68 @@ def _bit_transpose(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.ascontiguousarray(tiles_t).reshape(cols, rows // 64)
 
 
+#: symbols sampled per sub-block of _known_rows; bounds its temporaries
+_BLOCK_SYMBOLS = 1 << 22
+
+
+def _known_rows(
+    master_seed: int, eps: float, n: int, trial_start: int, trials: int
+) -> np.ndarray:
+    """Packed "known" rows for trials [trial_start, trial_start + trials).
+
+    Returns a (trials, ceil(n/64)) uint64 array: bit p of row j (LSB first)
+    is set iff symbol p of trial trial_start + j is received. Padding bits
+    are clear.
+    """
+    k, threshold = _subuniform(eps)
+    n64, n8 = -(-n // 64), -(-n // 8)
+    if k == 1 and threshold == 1 and n % 64 == 0:
+        # The known bits are the raw channel bits, already in row order.
+        words = _channel_words(master_seed, trial_start * n // 64, trials * n64)
+        return words.astype("<u8", copy=False).reshape(trials, n64)
+    rows = np.zeros((trials, n64), dtype="<u8")
+    row_bytes = rows.view(np.uint8)
+    if threshold == 1 << k:
+        return rows
+    if threshold == 0:
+        row_bytes[:, :n8] = np.packbits(np.ones(n, bool), bitorder="little")
+        return rows
+    # k divides 64, so no symbol straddles a word: symbol s is element s of
+    # the stream viewed as k-bit fields.
+    per_word = 64 // k
+    step = max(1, _BLOCK_SYMBOLS // max(n, 1))
+    for a in range(0, trials, step):
+        b = min(trials, a + step)
+        s0, count = (trial_start + a) * n, (b - a) * n
+        w0 = s0 // per_word
+        words = _channel_words(master_seed, w0, -(-(s0 + count) // per_word) - w0)
+        words = words.astype("<u8", copy=False)
+        lo = s0 - w0 * per_word
+        if k >= 8:
+            vals = words.view(f"<u{k // 8}")[lo : lo + count]
+        elif k == 1:
+            vals = np.unpackbits(words.view(np.uint8), bitorder="little")
+            vals = vals[lo : lo + count]
+        else:
+            shifts = np.arange(0, 8, k, dtype=np.uint8)
+            fields = (words.view(np.uint8)[:, None] >> shifts) & np.uint8((1 << k) - 1)
+            vals = fields.reshape(-1)[lo : lo + count]
+        known = (vals >= vals.dtype.type(threshold)).reshape(b - a, n)
+        row_bytes[a:b, :n8] = np.packbits(known, axis=1, bitorder="little")
+    return rows
+
+
 def _erasure_block(
     master_seed: int, eps: float, n: int, trial_start: int, trials: int
 ) -> np.ndarray:
     """Erasure pattern rows for trials [trial_start, trial_start + trials)."""
-    k, threshold = _subuniform(eps)
-    if threshold == 0:
-        return np.zeros((trials, n), dtype=bool)
-    if threshold == 1 << k:
-        return np.ones((trials, n), dtype=bool)
-    bit0 = trial_start * n * k
-    nbits = trials * n * k
-    w0 = bit0 >> 6
-    words = _channel_words(master_seed, w0, ((bit0 + nbits - 1) >> 6) + 1 - w0)
-    if k == 1:
-        bits = np.unpackbits(words.view(np.uint8), bitorder="little")
-        erased = bits[bit0 - 64 * w0 : bit0 - 64 * w0 + nbits] < threshold
-        return erased.reshape(trials, n)
-    sym = np.arange(trial_start * n, (trial_start + trials) * n, dtype=np.uint64)
-    bitpos = sym * np.uint64(k)
-    vals = words[(bitpos >> np.uint64(6)) - np.uint64(w0)] >> (
-        bitpos & np.uint64(63)
-    )
-    if k < 64:
-        vals = vals & np.uint64((1 << k) - 1)
-    return (vals < np.uint64(threshold)).reshape(trials, n)
+    return _unpack_erased(_known_rows(master_seed, eps, n, trial_start, trials), n)
+
+
+def _unpack_erased(rows: np.ndarray, n: int) -> np.ndarray:
+    """Bool erasure rows (True = erased) from packed known rows."""
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little")
+    return bits == 0
 
 
 def bec_transmit(x, ch: BecChannel) -> np.ndarray:
@@ -246,24 +292,14 @@ def run_monte_carlo(
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {eps}")
     n, info = code.N, code.info_set
-    k_bits, threshold = _subuniform(eps)
-    # With a one-bit subuniform and threshold 1 the known-bit planes are the
-    # raw channel bits themselves, transposable without unpacking.
-    fast = k_bits == 1 and threshold == 1 and n % 64 == 0
+    n64 = -(-n // 64)
     trials = frame_errors = bit_errors = bit_erasures = 0
     while trials < stop.max_trials and frame_errors < stop.min_frame_errors:
         chunk = min(batch_size, stop.max_trials - trials)
-        erased = None
-        if info.size and fast:
-            padded = -(-chunk // 64) * 64
-            words = _channel_words(
-                master_seed, trials * n // 64, padded * n // 64
-            )
-            known = _bit_transpose(words, padded, n).view(np.uint8)
-        elif info.size:
-            erased = _erasure_block(master_seed, eps, n, trials, chunk)
-            known = np.packbits(~erased.T, axis=1, bitorder="little")
         if info.size:
+            padded = -(-chunk // 64) * 64
+            rows = _known_rows(master_seed, eps, n, trials, padded)
+            known = _bit_transpose(rows, padded, 64 * n64)[:n].view(np.uint8)
             root_known = _screen_known_planes(code.kernel, code.depth, known)
             frame_plane = np.bitwise_or.reduce(~root_known[info], axis=0)
             frames = (
@@ -280,18 +316,9 @@ def run_monte_carlo(
             frames = frames[:used]
         flagged = np.flatnonzero(frames)
         if flagged.size:
-            trial_ids = trials + flagged
-            if erased is None:
-                byte_rows = words.view(np.uint8).reshape(padded, n // 8)
-                flagged_bits = np.unpackbits(
-                    byte_rows[flagged], axis=1, bitorder="little"
-                )
-                flagged_erased = flagged_bits == 0
-            else:
-                flagged_erased = erased[flagged]
-            u = _assemble_inputs(code, trial_ids, master_seed)
+            u = _assemble_inputs(code, trials + flagged, master_seed)
             x = _encode_batch(code.kernel, u)
-            y = np.where(flagged_erased, np.uint8(Symbol.ERASED), x)
+            y = np.where(_unpack_erased(rows[flagged], n), np.uint8(Symbol.ERASED), x)
             u_hat, flags = decode_batch(code, y)
             bad = (flags[:, info] == 1) | (u_hat[:, info] != u[:, info])
             frame_bad = bad.any(axis=1)
@@ -301,22 +328,8 @@ def run_monte_carlo(
             bit_erasures += int((flags[:, info] == 1).sum())
             frame_errors += int(frame_bad.sum())
         trials += used
-    fer = frame_errors / trials
-    lo, hi = wilson_interval(frame_errors, trials)
-    return SimReport(
-        code_id=code.code_id(),
-        eps=eps,
-        N=n,
-        K=int(info.size),
-        trials=trials,
-        bit_errors=bit_errors,
-        bit_erasures=bit_erasures,
-        frame_errors=frame_errors,
-        ber=bit_errors / (info.size * trials) if info.size else 0.0,
-        fer=fer,
-        fer_ci_low=lo,
-        fer_ci_high=hi,
-        master_seed=master_seed,
+    return _report(
+        code, eps, trials, bit_errors, bit_erasures, frame_errors, master_seed
     )
 
 
@@ -326,7 +339,7 @@ def _run_direct(
     """Literal per-trial reference loop; used to validate run_monte_carlo."""
     from .codec import encode, sc_decode
 
-    n, info = code.N, code.info_set
+    info = code.info_set
     trials = frame_errors = bit_errors = bit_erasures = 0
     while trials < stop.max_trials and frame_errors < stop.min_frame_errors:
         j = trials
@@ -339,19 +352,34 @@ def _run_direct(
         bit_erasures += int((res.erased_flags[info] == 1).sum())
         frame_errors += int(bad.any())
         trials += 1
-    fer = frame_errors / trials
+    return _report(
+        code, eps, trials, bit_errors, bit_erasures, frame_errors, master_seed
+    )
+
+
+def _report(
+    code: PolarCode,
+    eps: float,
+    trials: int,
+    bit_errors: int,
+    bit_erasures: int,
+    frame_errors: int,
+    master_seed: int,
+) -> SimReport:
+    """The SimReport of a finished run, with its Wilson interval."""
+    k = int(code.info_set.size)
     lo, hi = wilson_interval(frame_errors, trials)
     return SimReport(
         code_id=code.code_id(),
         eps=eps,
-        N=n,
-        K=int(info.size),
+        N=code.N,
+        K=k,
         trials=trials,
         bit_errors=bit_errors,
         bit_erasures=bit_erasures,
         frame_errors=frame_errors,
-        ber=bit_errors / (info.size * trials) if info.size else 0.0,
-        fer=fer,
+        ber=bit_errors / (k * trials) if k else 0.0,
+        fer=frame_errors / trials,
         fer_ci_low=lo,
         fer_ci_high=hi,
         master_seed=master_seed,

@@ -550,3 +550,11 @@ def test_batch_decode_of_random_symbols_equals_per_row_decode(kernel, depth):
         res = sc_decode(code, ys[row])
         assert np.array_equal(res.u_hat, u_b[row])
         assert np.array_equal(res.erased_flags, f_b[row])
+
+
+def test_genie_flags_of_singular_kernel_position_no_output_determines():
+    # Under 11,11 no set of outputs determines u_0; u_1 is known once either
+    # output is (given u_0).
+    erased = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=bool)
+    flags = genie_erasure_flags(parse_kernel("11,11"), 1, erased)
+    assert np.array_equal(flags, [[1, 0], [1, 0], [1, 0], [1, 1]])

@@ -121,3 +121,34 @@ def test_kron_matches_numpy_parity():
 def test_packed_rank_matches_rank(m):
     rows = [int("".join(map(str, r[::-1])), 2) for r in m.tolist()]
     assert gf2.packed_rank(rows) == gf2.rank(m)
+
+
+AS_BITS_INPUTS = [
+    np.array([[True, False], [False, True]]),
+    np.array([[0, 1], [1, 1]]),
+    np.array([[0, 1], [1, 1]], dtype=np.uint8),
+    np.array([[0.0, 1.0], [-0.0, 1.0]]),
+    np.array([[0.5, 1.0]]),
+    np.array([[np.nan, 1.0]]),
+    np.array([[np.inf, 0.0]]),
+    np.array([[-1, 0]]),
+    np.array([[2, 0]]),
+    np.array([[255, 0]], dtype=np.uint8),
+    np.array([[1j, 0]]),
+    np.array([["0", "1"]]),
+    np.array([[1, 0]], dtype=object),
+    np.array([[1, None]], dtype=object),
+    np.zeros((0, 3)),
+    np.zeros((2, 0), dtype=np.int64),
+]
+
+
+@pytest.mark.parametrize("m", AS_BITS_INPUTS, ids=lambda m: f"{m.dtype}{m.shape}")
+def test_as_bits_accepts_exactly_the_isin_zero_one_inputs(m):
+    accept = m.size == 0 or bool(np.isin(m, (0, 1)).all())
+    if accept:
+        got = gf2.as_bits(m, 2)
+        assert got.dtype == np.uint8 and np.array_equal(got, m.astype(np.uint8))
+    else:
+        with pytest.raises(ValueError, match="0 or 1"):
+            gf2.as_bits(m, 2)
