@@ -7,8 +7,12 @@ pattern over the l outputs, whether input i can be recovered from the
 non-erased outputs once inputs 0..i-1 are known. This module builds those
 count tables exactly, evolves them into full spectra, and scores spectra with
 a normalised polarisation distance, information-set selection, and block-error
-union bounds. A brute-force split-channel computation over all channel outputs
-serves as the ground-truth oracle for everything else.
+union bounds. The count tables and the spectrum evolution each have one
+batch-native implementation over arrays of kernel row bits
+(`batch_profiles`, `batch_curves`); the single-kernel calls
+`one_step_profile` and `evolve_spectrum` are batches of one. A brute-force
+split-channel computation over all channel outputs serves as the
+ground-truth oracle for everything else.
 
 Channel indices, like all indices in this package, are 0-based.
 """
@@ -27,6 +31,8 @@ PROB_ATOL = 1e-9
 
 _MAX_PROFILE_SIZE = 20
 _MAX_ORACLE_BLOCK = 8
+#: (kernel, erasure pattern) lanes per block of the count-table elimination
+_BLOCK_LANES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -70,24 +76,61 @@ class Spectrum:
         return self.z.shape[0]
 
 
-def _reduce(v: int, basis: list[tuple[int, int]]) -> int:
-    """Reduce a bitmask row against a mutually reduced pivot basis."""
-    for pivot, row in basis:
-        if v & pivot:
-            v ^= row
-    return v
+def _undetermined(restricted: np.ndarray) -> np.ndarray:
+    """Undetermined inputs of every lane, shape (l, n) bool.
+
+    `restricted` is (l, n): row i of each lane's kernel masked to the lane's
+    kept columns. The rows are inserted bottom-up into an echelon basis;
+    input i is undetermined iff its row reduces to zero against the rows
+    below it. As in `gf2.packed_rank`, min(v, v ^ b) clears b's leading bit
+    from v when it is set. Each basis row is reduced against the rows
+    inserted before it, so reducing in insertion order never sets a leading
+    bit that was already cleared, and a zero row changes nothing.
+    """
+    l, n = restricted.shape
+    basis = np.empty((l, n), dtype=np.uint32)  # slot j: row l-1-j, reduced
+    undet = np.empty((l, n), dtype=bool)
+    for j in range(l):
+        i = l - 1 - j
+        v = restricted[i].copy()
+        for b in basis[:j]:
+            np.minimum(v, v ^ b, out=v)
+        undet[i] = v == 0
+        basis[j] = v
+    return undet
 
 
-def _insert(v: int, basis: list[tuple[int, int]]) -> None:
-    """Add a row to the basis, keeping every pivot exclusive to its row."""
-    v = _reduce(v, basis)
-    if not v:
-        return
-    pivot = 1 << (v.bit_length() - 1)
-    for idx, (p, row) in enumerate(basis):
-        if row & pivot:
-            basis[idx] = (p, row ^ v)
-    basis.append((pivot, v))
+def batch_profiles(rows, l: int) -> np.ndarray:
+    """Count tables of a batch of kernels, shape (M, l, l+1), dtype int64.
+
+    `rows` is an (M, l) array of row bits as in `Kernel.row_bits`; entry
+    [m, i, s] is `counts[i][s]` of kernel m's TransitionProfile. Every
+    (kernel, erasure pattern) pair is one lane of `_undetermined`, and the
+    lanes run in blocks of _BLOCK_LANES. Kernels above size
+    _MAX_PROFILE_SIZE raise BudgetExceededError before any work.
+    """
+    if l > _MAX_PROFILE_SIZE:
+        raise BudgetExceededError(
+            f"profile enumeration over 2^{l} erasure patterns exceeds the "
+            f"supported kernel size of {_MAX_PROFILE_SIZE}"
+        )
+    rows = np.asarray(rows, dtype=np.uint32).reshape(-1, l)
+    patterns = 1 << l
+    width = min(patterns, _BLOCK_LANES)  # erasure patterns per block
+    step = _BLOCK_LANES // width  # kernels per block
+    counts = np.zeros((rows.shape[0], l, l + 1), dtype=np.int64)
+    for p0 in range(0, patterns, width):
+        erased = np.arange(p0, p0 + width, dtype=np.uint32)
+        keep = erased ^ np.uint32(patterns - 1)
+        # One-hot pattern weights; a float product keeps the sums exact.
+        weight = np.bitwise_count(erased)[:, None]
+        by_weight = (weight == np.arange(l + 1)).astype(np.float64)
+        for m0 in range(0, rows.shape[0], step):
+            block = rows[m0 : m0 + step].T[:, :, None] & keep
+            undet = _undetermined(block.reshape(l, -1)).reshape(-1, width)
+            tallies = (undet.astype(np.float64) @ by_weight).reshape(l, -1, l + 1)
+            counts[m0 : m0 + step] += tallies.transpose(1, 0, 2).astype(np.int64)
+    return counts
 
 
 def one_step_profile(k: Kernel) -> TransitionProfile:
@@ -98,28 +141,11 @@ def one_step_profile(k: Kernel) -> TransitionProfile:
     the span of the similarly restricted later rows (equivalently, the unit
     vector selecting it lies in the column span of the submatrix on rows i..l-1
     and non-erased columns). Singular kernels are allowed; they simply leave
-    some input undetermined even with zero erasures.
+    some input undetermined even with zero erasures. A batch of one of
+    `batch_profiles`.
     """
-    l = k.l
-    if l > _MAX_PROFILE_SIZE:
-        raise BudgetExceededError(
-            f"profile enumeration over 2^{l} erasure patterns exceeds the "
-            f"supported kernel size of {_MAX_PROFILE_SIZE}"
-        )
-    rows = k.row_bits()
-    counts = [[0] * (l + 1) for _ in range(l)]
-    for pattern in range(1 << l):
-        keep = ~pattern & ((1 << l) - 1)
-        weight = bin(pattern).count("1")
-        # Grow a reduced basis of the restricted rows bottom-up so that input
-        # i is tested against exactly the rows below it.
-        basis: list[tuple[int, int]] = []
-        for i in range(l - 1, -1, -1):
-            v = rows[i] & keep
-            if _reduce(v, basis) == 0:
-                counts[i][weight] += 1
-            _insert(v, basis)
-    return TransitionProfile(l=l, counts=tuple(tuple(c) for c in counts))
+    counts = batch_profiles([k.row_bits()], k.l)[0]
+    return TransitionProfile(l=k.l, counts=tuple(map(tuple, counts.tolist())))
 
 
 def bernstein_eval(counts, z):
@@ -149,14 +175,44 @@ def evaluate_erasure(p: TransitionProfile, i: int, z: float) -> float:
     return float(bernstein_eval(np.array(p.counts[i]), z))
 
 
+def _spectrum_levels(counts: np.ndarray, eps0: float, depth: int):
+    """Erasure spectra of a batch of count tables (M, l, l+1), level by level.
+
+    Yields the (M, l**d) spectra for d = 1..depth. Starting from [eps0],
+    every channel value z spawns l children (Z_0(z), ..., Z_{l-1}(z)) in index
+    order, so child t of parent j lands at index l*j + t on the next level.
+    """
+    m_count, l = counts.shape[0], counts.shape[1]
+    coeffs = counts.astype(np.float64)
+    z = np.full((m_count, 1), eps0)
+    for _ in range(depth):
+        children = np.empty((m_count, z.shape[1], l))
+        for t in range(l):
+            children[:, :, t] = bernstein_eval(coeffs[:, t, None, :], z)
+        z = np.clip(children.reshape(m_count, -1), 0.0, 1.0)
+        yield z
+
+
+def batch_curves(counts: np.ndarray, eps0: float, depth: int) -> np.ndarray:
+    """Distance curves of a batch of count tables, shape (M, depth).
+
+    Column d - 1 is the polarisation distance of each spectrum at depth d
+    (as in `polarisation_distance`, normalised by eps0 * eps0).
+    """
+    curves = np.empty((counts.shape[0], depth))
+    for d, z in enumerate(_spectrum_levels(counts, eps0, depth)):
+        small = np.minimum(z, 1.0 - z)
+        curves[:, d] = (small * small).mean(axis=1) / (eps0 * eps0)
+    return curves
+
+
 def evolve_spectrum(
     k: Kernel, eps0: float, depth: int, max_size: int = 1 << 24
 ) -> Spectrum:
     """Erasure spectrum after `depth` recursive kernel applications.
 
-    Starting from [eps0], every channel value z spawns l children
-    (Z_0(z), ..., Z_{l-1}(z)) in index order, so child t of parent j lands at
-    index l*j + t on the next level. depth = 0 returns [eps0].
+    The last level of `_spectrum_levels` for a batch of one kernel; depth = 0
+    returns [eps0].
     """
     if not 0.0 <= eps0 <= 1.0:
         raise ValueError(f"design erasure rate must be in [0, 1], got {eps0}")
@@ -166,15 +222,10 @@ def evolve_spectrum(
         raise BudgetExceededError(
             f"spectrum of size {k.l}^{depth} exceeds the budget of {max_size}"
         )
-    profile = one_step_profile(k)
-    counts = np.array(profile.counts, dtype=np.float64)
-    z = np.array([eps0], dtype=np.float64)
-    for _ in range(depth):
-        children = np.empty((z.shape[0], k.l))
-        for t in range(k.l):
-            children[:, t] = bernstein_eval(counts[t], z)
-        z = np.clip(children.reshape(-1), 0.0, 1.0)
-    return Spectrum(kernel=k, depth=depth, z=z, design_eps=eps0)
+    z = np.array([[eps0]])
+    for z in _spectrum_levels(batch_profiles([k.row_bits()], k.l), eps0, depth):
+        pass
+    return Spectrum(kernel=k, depth=depth, z=z[0], design_eps=eps0)
 
 
 def polarisation_distance(s: Spectrum) -> float:

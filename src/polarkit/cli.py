@@ -15,14 +15,13 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bec, survey as survey_mod
 from .codec import PolarCode
 from .errors import BudgetExceededError, KernelFormatError
 # enumerate_kernels is unused here but stays importable: bench/tracing.py
 # hooks `polarkit.cli.enumerate_kernels`.
 from .kernels import (  # noqa: F401
+    batch_distances,
     enumerate_kernels,
     exponent_from_distances,
     family_rows,
@@ -33,8 +32,6 @@ from .ioutil import atomic_write_text
 from .sim import StopRule, run_monte_carlo, sim_csv_text
 
 _ORACLE_EPS = (0.1, 0.3, 0.5, 0.7, 0.9)
-#: partial distances walk 2^(l-1) row combinations; larger kernels are refused
-_MAX_EXPONENT_SIZE = 20
 _ORACLE_TOL = 1e-12
 
 
@@ -162,22 +159,21 @@ def _cmd_survey(ns) -> int:
 def _cmd_exponent(ns) -> int:
     if ns.kernel:
         kernels = [parse_kernel(text) for text in ns.kernel]
-        if any(k.l > _MAX_EXPONENT_SIZE for k in kernels):
-            raise BudgetExceededError(
-                f"partial distances of kernels above size {_MAX_EXPONENT_SIZE} "
-                "are not supported"
-            )
-        batches = [np.array([k.row_bits()], dtype=np.uint32) for k in kernels]
+        batches = [([k.descriptor()], [k.row_bits()], k.l) for k in kernels]
     elif ns.size is not None:
         if ns.size < 2:
             raise UsageError("--size must be >= 2")
-        batches = [family_rows(ns.size, ns.family)]
+        rows = family_rows(ns.size, ns.family)
+        batches = [(row_descriptors(rows), rows, ns.size)]
     else:
         raise UsageError("provide --kernel or --size")
-    for rows in batches:
-        l = rows.shape[1]
-        dists = survey_mod._batch_distances(rows, l).tolist()
-        for desc, d in zip(row_descriptors(rows), dists):
+    # Every batch is computed before the first line is printed, so a refused
+    # kernel leaves no partial output.
+    tables = [
+        (names, batch_distances(rows, l).tolist(), l) for names, rows, l in batches
+    ]
+    for names, dists, l in tables:
+        for desc, d in zip(names, dists):
             if 0 in d:
                 print(f"{desc}  singular")
                 continue

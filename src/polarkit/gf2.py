@@ -19,28 +19,33 @@ def as_bits(a, ndim: int) -> np.ndarray:
     return m.astype(np.uint8)
 
 
-def rank(m) -> int:
-    """GF(2) row rank via Gaussian elimination."""
-    a = as_bits(m, 2).copy()
-    rows, cols = a.shape
-    r = 0
+def _row_reduce(a: np.ndarray, cols: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a 0/1 array, pivoting on its first `cols`
+    columns only; returns the reduced copy and the pivot columns."""
+    a = a.copy()
+    rows = a.shape[0]
+    pivots: list[int] = []
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i, c]:
-                pivot = i
-                break
-        if pivot is None:
+        r = len(pivots)
+        if r == rows:
+            break
+        hits = np.flatnonzero(a[r:, c])
+        if not hits.size:
             continue
+        pivot = r + hits[0]
         if pivot != r:
             a[[r, pivot]] = a[[pivot, r]]
         for i in range(rows):
             if i != r and a[i, c]:
                 a[i] ^= a[r]
-        r += 1
-        if r == rows:
-            break
-    return r
+        pivots.append(c)
+    return a, pivots
+
+
+def rank(m) -> int:
+    """GF(2) row rank via Gaussian elimination."""
+    a = as_bits(m, 2)
+    return len(_row_reduce(a, a.shape[1])[1])
 
 
 def packed_rank(rows) -> int:
@@ -83,26 +88,8 @@ def solve(a, b):
     rows, cols = a.shape
     if b.shape[0] != rows:
         raise ValueError("right-hand side length does not match matrix rows")
-    aug = np.hstack([a, b[:, None]]).astype(np.uint8)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if aug[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            aug[[r, pivot]] = aug[[pivot, r]]
-        for i in range(rows):
-            if i != r and aug[i, c]:
-                aug[i] ^= aug[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    aug, pivots = _row_reduce(np.hstack([a, b[:, None]]), cols)
+    r = len(pivots)
     # Any remaining nonzero augmented column entry below the pivots means b
     # is outside the column space.
     if aug[r:, cols].any():
@@ -115,27 +102,9 @@ def solve(a, b):
 
 def null_space(a) -> np.ndarray:
     """Basis for {x : A x = 0} over GF(2), returned as rows (possibly empty)."""
-    a = as_bits(a, 2).copy()
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            a[[r, pivot]] = a[[pivot, r]]
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] ^= a[r]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    a = as_bits(a, 2)
+    cols = a.shape[1]
+    a, pivots = _row_reduce(a, cols)
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.uint8)
     for k, fc in enumerate(free):

@@ -3,20 +3,27 @@
 A kernel is an l x l binary matrix applied at every recursion level of a polar
 transform; row i multiplies input u_i. Kernels are immutable once built and
 their invertibility flag is always recomputed from the matrix, never taken
-from input.
+from input. Partial distances have one batch-native implementation over
+arrays of row bits (`batch_distances`); `partial_distances` is a batch of one
+and `rate_exponent_table` one batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import gf2
 from .errors import BudgetExceededError, KernelFormatError
+
+#: largest kernel whose partial distances are computed: the span of its later
+#: rows has up to 2^(l-1) members
+_MAX_DISTANCE_SIZE = 20
+#: (kernel, span member) lanes per block of the partial-distance search
+_BLOCK_LANES = 1 << 16
 
 #: largest kernel family `family_rows` enumerates: 2^16 members admits every
 #: 4x4 matrix and every lower-triangular family up to 6x6
@@ -111,32 +118,62 @@ def parse_kernel(text: str) -> Kernel:
     return Kernel(m)
 
 
-def partial_distances(k: Kernel) -> PartialDistances:
-    """Partial distances of an invertible kernel and its rate exponent.
+def batch_distances(rows, l: int) -> np.ndarray:
+    """Partial distances of a batch of kernels, shape (M, l), dtype int64.
 
-    d_i is the minimum Hamming distance from row i to the GF(2) span of rows
-    i+1..l; for the last row the span is {0}, so d_l is the row weight. The
-    exponent is (1/l) * sum_i log_l(d_i).
+    `rows` is an (M, l) array of row bits as in `Kernel.row_bits`. Entry
+    [m, i] is the minimum weight of row i of kernel m XOR any combination of
+    its rows i+1..l-1; the span of the later rows grows bottom-up, doubling
+    with each row. A zero marks a row in the span of the rows below it, i.e.
+    a singular kernel. Kernels are processed in blocks of about _BLOCK_LANES
+    span members, and kernels above size _MAX_DISTANCE_SIZE raise
+    BudgetExceededError before any work.
     """
+    if l > _MAX_DISTANCE_SIZE:
+        raise BudgetExceededError(
+            f"partial distances of kernels above size {_MAX_DISTANCE_SIZE} "
+            "are not supported"
+        )
+    rows = np.asarray(rows, dtype=np.uint32).reshape(-1, l)
+    dists = np.empty(rows.shape, dtype=np.int64)
+    step = max(1, _BLOCK_LANES >> (l - 1))  # kernels per block
+    for m0 in range(0, rows.shape[0], step):
+        block = rows[m0 : m0 + step].T
+        span = np.zeros((1, block.shape[1]), dtype=np.uint32)  # member-major
+        for i in range(l - 1, -1, -1):
+            dists[m0 : m0 + step, i] = np.bitwise_count(block[i] ^ span).min(axis=0)
+            if i:
+                span = np.concatenate([span, span ^ block[i]])
+    return dists
+
+
+def batch_exponents(rows, l: int) -> np.ndarray:
+    """Rate exponents of a batch of kernels; NaN marks singular kernels."""
+    dists = batch_distances(rows, l)
+    exps = np.full(dists.shape[0], np.nan)
+    good = (dists > 0).all(axis=1)
+    exps[good] = np.log(dists[good]).sum(axis=1) / (l * math.log(l))
+    return exps
+
+
+def _require_invertible(k: Kernel) -> None:
     if not k.invertible:
         raise ValueError(
             "partial distances are ill-defined for singular kernels "
             "(some row lies in the span of the later rows, giving d_i = 0)"
         )
-    l = k.l
-    d = []
-    for i in range(l):
-        later = k.matrix[i + 1 :]
-        best = l + 1
-        # Enumerate all 2^(l-1-i) combinations of the later rows.
-        for r in range(len(later) + 1):
-            for combo in combinations(range(len(later)), r):
-                v = k.matrix[i].copy()
-                for j in combo:
-                    v ^= later[j]
-                best = min(best, int(v.sum()))
-        d.append(best)
-    return PartialDistances(d=tuple(d), exponent=exponent_from_distances(d, l))
+
+
+def partial_distances(k: Kernel) -> PartialDistances:
+    """Partial distances of an invertible kernel and its rate exponent.
+
+    d_i is the minimum Hamming distance from row i to the GF(2) span of rows
+    i+1..l; for the last row the span is {0}, so d_l is the row weight. The
+    exponent is (1/l) * sum_i log_l(d_i). A batch of one of `batch_distances`.
+    """
+    _require_invertible(k)
+    d = tuple(batch_distances([k.row_bits()], k.l)[0].tolist())
+    return PartialDistances(d=d, exponent=exponent_from_distances(d, k.l))
 
 
 def exponent_from_distances(d: Sequence[int], l: int) -> float:
@@ -145,8 +182,21 @@ def exponent_from_distances(d: Sequence[int], l: int) -> float:
 
 
 def rate_exponent_table(family: Sequence[Kernel]) -> list[tuple[Kernel, float]]:
-    """Rate exponent for each kernel, preserving the input order."""
-    return [(k, partial_distances(k).exponent) for k in family]
+    """Rate exponent for each kernel, preserving the input order.
+
+    The kernels must be invertible and of one size; their partial distances
+    come from one `batch_distances` call.
+    """
+    kernels = list(family)
+    if not kernels:
+        return []
+    l = kernels[0].l
+    if any(k.l != l for k in kernels):
+        raise ValueError("kernel family mixes sizes")
+    for k in kernels:
+        _require_invertible(k)
+    dists = batch_distances([k.row_bits() for k in kernels], l).tolist()
+    return [(k, exponent_from_distances(d, l)) for k, d in zip(kernels, dists)]
 
 
 def family_rows(l: int, family: str = "all") -> np.ndarray:

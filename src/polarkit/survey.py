@@ -5,8 +5,9 @@ curve over increasing recursion depth; kernels with identical curves (within
 1e-12 componentwise) land in one group. The survey pipeline works on arrays
 of row bits: it computes the one-step count tables of all kernels in bulk
 with vectorised numpy, evolves one curve per distinct table, and builds a
-Kernel object only for each group's representative; tests pin it against the
-scalar single-kernel path.
+Kernel object only for each group's representative. The count tables, curves
+and exponents come from the batch routines of `bec` and `kernels`, the same
+ones behind the single-kernel calls.
 """
 
 from __future__ import annotations
@@ -17,10 +18,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bec import bernstein_eval, evolve_spectrum, one_step_profile, polarisation_distance
+from .bec import one_step_profile
 from .errors import BudgetExceededError
 from .ioutil import atomic_write_text
 from .kernels import Kernel, family_rows, row_descriptors
+
+# bench/tracing.py times the survey stages through these module names, and
+# hooks bernstein_eval here as well as in bec.
+from .bec import batch_curves as _batch_curves
+from .bec import batch_profiles as _batch_profiles
+from .bec import bernstein_eval  # noqa: F401
+from .kernels import batch_exponents as _batch_exponents
 
 #: componentwise tolerance for treating two distance curves as identical
 CURVE_TOL = 1e-12
@@ -106,16 +114,20 @@ def invertible_summary(records: Sequence[GroupRecord]) -> FamilySummary:
 
 
 def signature(k: Kernel, eps0: float, depth: int) -> Signature:
-    """Signature of one kernel via the scalar spectrum machinery."""
+    """Signature of one kernel: a batch of one of the survey's curves."""
+    if not 0.0 < eps0 <= 1.0:
+        raise ValueError(f"design erasure rate must be in (0, 1], got {eps0}")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if k.l**depth > _MAX_SPECTRUM:
         raise BudgetExceededError(
             f"signature depth {depth} exceeds the spectrum budget for l={k.l}"
         )
     profile = one_step_profile(k)
-    curve = tuple(
-        polarisation_distance(evolve_spectrum(k, eps0, d)) for d in range(1, depth + 1)
+    curve = _batch_curves(np.array([profile.counts]), eps0, depth)[0]
+    return Signature(
+        profile_multiset=profile.multiset(), distance_curve=tuple(curve.tolist())
     )
-    return Signature(profile_multiset=profile.multiset(), distance_curve=curve)
 
 
 def _row_bits(kernels: Sequence[Kernel]) -> np.ndarray:
@@ -135,85 +147,6 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(a.shape[0], dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return ordered[new], inverse
-
-
-def _batch_profiles(rows: np.ndarray, l: int) -> np.ndarray:
-    """Count tables for a batch of kernels, shape (M, l, l+1).
-
-    Mirrors one_step_profile: for every erasure pattern, input i is
-    undetermined iff its restricted row is a XOR of restricted later rows
-    (empty combination included). Subsets are walked in Gray-code order so
-    each step costs one XOR per kernel.
-    """
-    m_count = rows.shape[0]
-    counts = np.zeros((m_count, l, l + 1), dtype=np.int64)
-    full = (1 << l) - 1
-    for pattern in range(1 << l):
-        keep = np.uint32(~pattern & full)
-        restricted = rows & keep
-        weight = bin(pattern).count("1")
-        for i in range(l):
-            target = restricted[:, i]
-            undet = target == 0
-            acc = np.zeros(m_count, dtype=np.uint32)
-            prev = 0
-            for g in range(1, 1 << (l - 1 - i)):
-                gray = g ^ (g >> 1)
-                j = (gray ^ prev).bit_length() - 1
-                prev = gray
-                acc = acc ^ restricted[:, i + 1 + j]
-                undet |= acc == target
-            counts[:, i, weight] += undet
-    return counts
-
-
-def _batch_curves(counts: np.ndarray, eps0: float, depth: int) -> np.ndarray:
-    """Distance curves for a batch of count tables, shape (M, depth)."""
-    m_count, l = counts.shape[0], counts.shape[1]
-    coeffs = counts.astype(np.float64)
-    curves = np.empty((m_count, depth))
-    z = np.full((m_count, 1), eps0)
-    for d in range(depth):
-        children = np.empty((m_count, z.shape[1], l))
-        for t in range(l):
-            children[:, :, t] = bernstein_eval(coeffs[:, t, :][:, None, :], z)
-        z = np.clip(children.reshape(m_count, -1), 0.0, 1.0)
-        small = np.minimum(z, 1.0 - z)
-        curves[:, d] = (small * small).mean(axis=1) / (eps0 * eps0)
-    return curves
-
-
-def _batch_distances(rows: np.ndarray, l: int) -> np.ndarray:
-    """Partial distances per kernel, shape (M, l); a zero marks a row in the
-    span of the rows below it, i.e. a singular kernel."""
-    m_count = rows.shape[0]
-    dists = np.empty((m_count, l), dtype=np.int64)
-    for i in range(l):
-        best = np.bitwise_count(rows[:, i].astype(np.uint64))
-        acc = np.zeros(m_count, dtype=np.uint32)
-        prev = 0
-        for g in range(1, 1 << (l - 1 - i)):
-            gray = g ^ (g >> 1)
-            j = (gray ^ prev).bit_length() - 1
-            prev = gray
-            acc = acc ^ rows[:, i + 1 + j]
-            best = np.minimum(
-                best, np.bitwise_count((rows[:, i] ^ acc).astype(np.uint64))
-            )
-        dists[:, i] = best
-    return dists
-
-
-def _batch_exponents(rows: np.ndarray, l: int) -> np.ndarray:
-    """Rate exponents per kernel; NaN marks singular kernels."""
-    dists = _batch_distances(rows, l)
-    m_count = rows.shape[0]
-    singular = (dists == 0).any(axis=1)
-    exps = np.full(m_count, np.nan)
-    good = ~singular
-    with np.errstate(divide="ignore"):
-        exps[good] = np.log(dists[good]).sum(axis=1) / (l * math.log(l))
-    return exps
 
 
 def group_survey(family: Iterable[Kernel], eps0: float, depth: int) -> list[GroupRecord]:

@@ -16,7 +16,8 @@ from polarkit import (
     polarisation_distance,
     select_information_set,
 )
-from polarkit.bec import Spectrum
+from polarkit.bec import Spectrum, batch_profiles
+from polarkit.kernels import family_rows
 
 G2 = parse_kernel("10,11")
 G101 = parse_kernel("100,110,011")
@@ -126,6 +127,61 @@ def test_evaluate_erasure_validation():
         evaluate_erasure(p, 2, 0.5)
     with pytest.raises(ValueError):
         evaluate_erasure(p, 0, 1.5)
+
+
+def _brute_force_counts(k):
+    """Count table from one gf2.in_span test per (input, erasure pattern)."""
+    from polarkit import gf2
+
+    l = k.l
+    counts = np.zeros((l, l + 1), dtype=np.int64)
+    for pattern in range(1 << l):
+        cols = [c for c in range(l) if not (pattern >> c) & 1]
+        for i in range(l):
+            counts[i, l - len(cols)] += gf2.in_span(
+                k.matrix[i, cols], list(k.matrix[i + 1 :, cols])
+            )
+    return counts
+
+
+def test_batch_profiles_match_brute_force_on_every_3x3_kernel():
+    rows = family_rows(3, "all")
+    counts = batch_profiles(rows, 3)
+    assert counts.shape == (512, 3, 4)
+    for r, got in zip(rows, counts):
+        assert np.array_equal(got, _brute_force_counts(Kernel.from_row_bits(r)))
+
+
+@pytest.mark.parametrize("l,count", [(5, 6), (6, 4)])
+def test_profiles_match_brute_force_on_random_kernels(l, count):
+    kernels = random_kernels(l, count, seed=l)
+    batch = batch_profiles([k.row_bits() for k in kernels], l)
+    for k, got in zip(kernels, batch):
+        want = _brute_force_counts(k)
+        assert np.array_equal(got, want)
+        assert one_step_profile(k).counts == tuple(map(tuple, want.tolist()))
+
+
+def test_profiles_closed_forms_at_size_limit():
+    from math import comb
+
+    def binom(n, s):
+        return comb(n, s) if 0 <= s <= n else 0
+
+    l = 20
+    identity = [1 << r for r in range(l)]
+    # ten 10,11 blocks on the diagonal; inputs only see their own block
+    blocks = [bits << (2 * b) for b in range(l // 2) for bits in (1, 3)]
+    got_identity, got_blocks = batch_profiles([identity, blocks], l)
+    # input i is lost exactly when output i is erased
+    want = [[binom(l - 1, s - 1) for s in range(l + 1)]] * l
+    assert got_identity.tolist() == want
+    g2 = one_step_profile(G2).counts
+    want = [
+        [sum(g2[i % 2][a] * binom(l - 2, s - a) for a in range(3)) for s in range(l + 1)]
+        for i in range(l)
+    ]
+    assert got_blocks.tolist() == want
 
 
 # ---------------------------------------------------------------- oracle

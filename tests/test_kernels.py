@@ -17,6 +17,7 @@ from polarkit import (
     reference_generator,
 )
 from polarkit import gf2
+from polarkit.kernels import batch_distances
 
 G2 = parse_kernel("10,11")
 
@@ -96,6 +97,57 @@ def test_rate_exponent_table_matches_published_values():
 def test_rate_exponent_identity4():
     (_, exponent), = rate_exponent_table([parse_kernel("1000,0100,0010,0001")])
     assert exponent == 0.0
+
+
+def _brute_force_distances(k):
+    """Partial distances as minima over every combination of the later rows."""
+    from itertools import combinations
+
+    l = k.l
+    out = []
+    for i in range(l):
+        later = range(i + 1, l)
+        out.append(
+            min(
+                int((k.matrix[[i, *combo]].sum(axis=0) % 2).sum())
+                for r in range(len(later) + 1)
+                for combo in combinations(later, r)
+            )
+        )
+    return out
+
+
+@pytest.mark.parametrize(
+    "l,family",
+    [(3, "all"), (4, "lower_triangular_unit_diagonal"),
+     (5, "lower_triangular_unit_diagonal")],
+)
+def test_batch_distances_match_brute_force(l, family):
+    rows = family_rows(l, family)
+    dists = batch_distances(rows, l)
+    assert dists.shape == (rows.shape[0], l)
+    for r, got in zip(rows, dists):
+        k = Kernel.from_row_bits(r)
+        assert got.tolist() == _brute_force_distances(k)
+        # a zero distance marks exactly the singular kernels
+        assert (got == 0).any() == (gf2.rank(k.matrix) < l)
+
+
+@pytest.mark.parametrize("size", [21, 40])
+def test_partial_distances_refuse_oversized_kernels(size):
+    big = Kernel(np.eye(size, dtype=np.uint8))
+    with pytest.raises(BudgetExceededError, match="not supported"):
+        partial_distances(big)
+    with pytest.raises(BudgetExceededError, match="not supported"):
+        rate_exponent_table([big])
+
+
+def test_rate_exponent_table_rejects_singular_and_mixed_families():
+    with pytest.raises(ValueError):
+        rate_exponent_table([G2, parse_kernel("10,10")])
+    with pytest.raises(ValueError):
+        rate_exponent_table([G2, parse_kernel("100,110,011")])
+    assert rate_exponent_table([]) == []
 
 
 def test_enumerate_lower_triangular_3():
