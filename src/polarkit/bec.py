@@ -242,7 +242,7 @@ def polarisation_distance(s: Spectrum) -> float:
     if s.design_eps == 0:
         raise ValueError("normalisation undefined for design erasure rate 0")
     m = np.minimum(np.abs(s.z), np.abs(1.0 - s.z))
-    return float((m * m).mean() / s.design_eps**2)
+    return float((m * m).mean() / (s.design_eps * s.design_eps))
 
 
 def select_information_set(s: Spectrum, K: int) -> np.ndarray:

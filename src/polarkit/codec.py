@@ -469,29 +469,45 @@ def map_oracle_decode(code: PolarCode, y) -> DecodeResult:
 # erasure-pattern screening
 
 @functools.lru_cache(maxsize=128)
-def _monotone_terms(kernel: Kernel) -> list[list[int]]:
-    """Minimal known-column subsets that determine each round position.
+def _monotone_forms(kernel: Kernel) -> list[tuple[bool, list[list[int]]]]:
+    """How the screen evaluates each round position's determination.
 
     Determination is monotone in the set of non-erased columns, so the DET
-    table collapses to an OR of ANDs over these minimal subsets.
+    table collapses to an OR of ANDs over the minimal determining column
+    sets, or to an AND of ORs over the complements of the maximal
+    non-determining sets. Position t gets whichever takes fewer array
+    operations, as (is AND of ORs, column groups); ties go to the OR of ANDs,
+    and a position nothing determines gets no groups.
     """
     det, _ = _round_tables(kernel)
     l = kernel.l
-    terms: list[list[int]] = []
+    bits = [1 << c for c in range(l)]
+
+    def cols(kappa):
+        return [c for c in range(l) if (kappa >> c) & 1]
+
+    def cost(groups):  # a one-column group is still one copy
+        return sum(max(1, len(g) - 1) for g in groups) + len(groups) - 1
+
+    forms = []
     for t in range(l):
-        minimal = []
-        for kappa in range(1 << l):
-            if not det[t, kappa]:
-                continue
-            sub_det = False
-            for c in range(l):
-                if (kappa >> c) & 1 and det[t, kappa & ~(1 << c)]:
-                    sub_det = True
-                    break
-            if not sub_det:
-                minimal.append(kappa)
-        terms.append(minimal)
-    return terms
+        terms = [
+            cols(kappa)
+            for kappa in range(1 << l)
+            if det[t, kappa]
+            and not any(kappa & b and det[t, kappa & ~b] for b in bits)
+        ]
+        clauses = [
+            cols(~kappa & ((1 << l) - 1))
+            for kappa in range(1 << l)
+            if not det[t, kappa]
+            and all(kappa & b or det[t, kappa | b] for b in bits)
+        ]
+        if terms and clauses and cost(clauses) < cost(terms):
+            forms.append((True, clauses))
+        else:
+            forms.append((False, terms))
+    return forms
 
 
 def _screen_known_planes(
@@ -505,10 +521,7 @@ def _screen_known_planes(
     result depends only on the erasure pattern, not on transmitted values.
     """
     l = kernel.l
-    terms = [
-        [[c for c in range(l) if (kappa >> c) & 1] for kappa in kappas]
-        for kappas in _monotone_terms(kernel)
-    ]
+    forms = _monotone_forms(kernel)
     cur = known
     n_wires, width = known.shape
     m = l
@@ -516,19 +529,23 @@ def _screen_known_planes(
         v = cur.reshape(-1, l, m // l, width)
         out = np.empty((v.shape[0], m // l, l, width), dtype=np.uint8)
         buf = np.empty((v.shape[0], m // l, width), dtype=np.uint8)
-        for t in range(l):
+        for t, (and_of_ors, groups) in enumerate(forms):
             acc = out[:, :, t, :]
-            if not terms[t]:  # no set of outputs determines position t
+            if not groups:  # no set of outputs determines position t
                 acc[:] = 0
-            # The first term is written straight into acc, later ones into
-            # buf and OR-ed in; a one-column term is that column (x & x = x).
-            for i, cols in enumerate(terms[t]):
+            inner, outer = np.bitwise_and, np.bitwise_or
+            if and_of_ors:
+                inner, outer = outer, inner
+            # The first group is written straight into acc, later ones into
+            # buf and combined in; a one-column group is that column
+            # (x & x = x | x = x).
+            for i, cols in enumerate(groups):
                 dst = buf if i else acc
-                np.bitwise_and(v[:, cols[0]], v[:, cols[-1]], out=dst)
+                inner(v[:, cols[0]], v[:, cols[-1]], out=dst)
                 for c in cols[1:-1]:
-                    dst &= v[:, c]
+                    inner(dst, v[:, c], out=dst)
                 if i:
-                    acc |= buf
+                    outer(acc, buf, out=acc)
         cur = out.reshape(n_wires, width)
         m *= l
     return cur

@@ -22,16 +22,21 @@ straddles a word and the symbols are read in order from a view of the words
 (the words themselves for k = 64), with no index gather; for k = 1 with
 threshold 1 and N a multiple of 64 the rows are the raw words. A bit
 transpose turns a chunk's rows into one bitplane per output position, eight
-trials per byte.
+trials per byte. Chunks are cache-sized: by default 2**13 trials, so at
+N = 1024 a chunk's planes take 1 MB. The transpose runs the six delta-swap
+rounds of a 64x64 bit transpose over every tile of the chunk at once, with
+the tiles stored row-slab major so that each round works on contiguous runs.
 
 Most trials decode without any ambiguity, and over the BEC the frame-error
 event depends only on the erasure pattern: the first ambiguous information
 decision of the decoder coincides with the first genie-aided ambiguity
 (before it, every decision is determined and correct). run_monte_carlo
-therefore screens the bitplanes in bulk with the bit-packed genie recursion
-and runs the full decoder only on flagged frames, whose erasure rows it
-unpacks from the known rows; the tallies are exactly those of decoding every
-trial individually (verified in tests against the literal per-trial loop).
+therefore screens the bitplanes in bulk with the bit-packed genie recursion;
+the screen alone fixes the frame-error count and the stop cut. The full
+decoder runs only on flagged frames: their trial ids and known rows are held
+back until at least _DECODE_FRAMES are pending, or the run ends, and then
+decoded in one batch. The tallies are exactly those of decoding every trial
+individually (verified in tests against the literal per-trial loop).
 """
 
 from __future__ import annotations
@@ -156,25 +161,39 @@ def _bit_transpose(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
     rows and cols must both be multiples of 64; returns the packed transpose
     of shape (cols, rows // 64).
+
+    Each 64x64 tile is transposed by six delta-swap rounds (Warren, Hacker's
+    Delight, 7-3): round s swaps the s-bit blocks above the diagonal of every
+    2s x 2s block with those below it. The tiles are laid out row-slab
+    major, slab i holding row i of every tile, so the two halves of a round
+    are contiguous runs of s whole slabs instead of strided single words.
     """
-    # copy(): the swap rounds below must never alias the caller's words
-    tiles = words.reshape(rows // 64, 64, cols // 64).transpose(0, 2, 1)
-    x = tiles.copy().reshape(-1, 64)
+    tiles, w = rows // 64, cols // 64
+    # copy(): the rounds below must never alias the caller's words
+    x = words.reshape(tiles, 64, w).transpose(1, 0, 2).copy()
+    slab = tiles * w
+    tmp = np.empty(32 * slab, dtype=np.uint64)
     for s, m in _TRANSPOSE_MASKS:
         sh = np.uint64(s)
-        # Rows whose index has bit s clear pair with the rows s further on;
-        # both halves are views, so the swap runs in place.
-        v = x.reshape(-1, 64 // (2 * s), 2, s)
-        a, b = v[:, :, 0, :], v[:, :, 1, :]
-        swap = (a ^ (b << sh)) & m
-        a ^= swap
-        b ^= swap >> sh
-    tiles_t = x.reshape(rows // 64, cols // 64, 64).transpose(1, 2, 0)
-    return np.ascontiguousarray(tiles_t).reshape(cols, rows // 64)
+        # Slabs whose index has bit s clear pair with the slabs s further
+        # on; both halves are views, so the swap runs in place.
+        v = x.reshape(32 // s, 2, s * slab)
+        a, b = v[:, 0], v[:, 1]
+        t = tmp.reshape(32 // s, s * slab)
+        np.left_shift(b, sh, out=t)
+        t ^= a
+        t &= m
+        a ^= t
+        t >>= sh
+        b ^= t
+    return x.transpose(2, 0, 1).reshape(cols, tiles)
 
 
 #: symbols sampled per sub-block of _known_rows; bounds its temporaries
-_BLOCK_SYMBOLS = 1 << 22
+_BLOCK_SYMBOLS = 1 << 20
+
+#: flagged frames held back before they are decoded in one batch
+_DECODE_FRAMES = 1 << 10
 
 
 def _known_rows(
@@ -221,6 +240,8 @@ def _known_rows(
             vals = fields.reshape(-1)[lo : lo + count]
         known = (vals >= vals.dtype.type(threshold)).reshape(b - a, n)
         row_bytes[a:b, :n8] = np.packbits(known, axis=1, bitorder="little")
+        # Free this block before the next one is drawn.
+        del words, vals, known
     return rows
 
 
@@ -280,7 +301,7 @@ def run_monte_carlo(
     eps: float,
     stop: StopRule,
     master_seed: int,
-    batch_size: int = 1 << 15,
+    batch_size: int = 1 << 13,
 ) -> SimReport:
     """Estimate BER/FER of a code on the BEC by seeded Monte Carlo.
 
@@ -294,6 +315,9 @@ def run_monte_carlo(
     n, info = code.N, code.info_set
     n64 = -(-n // 64)
     trials = frame_errors = bit_errors = bit_erasures = 0
+    # Flagged trials and their known rows, not yet decoded.
+    pending_ids: list[np.ndarray] = []
+    pending_rows: list[np.ndarray] = []
     while trials < stop.max_trials and frame_errors < stop.min_frame_errors:
         chunk = min(batch_size, stop.max_trials - trials)
         if info.size:
@@ -307,7 +331,8 @@ def run_monte_carlo(
             )
         else:
             frames = np.zeros(chunk, dtype=bool)
-        # Cut exactly where the error budget is exhausted.
+        # The screen alone decides frame errors: cut exactly where the error
+        # budget is exhausted.
         used = chunk
         cum = frame_errors + np.cumsum(frames)
         hit = np.flatnonzero(cum >= stop.min_frame_errors)
@@ -316,18 +341,25 @@ def run_monte_carlo(
             frames = frames[:used]
         flagged = np.flatnonzero(frames)
         if flagged.size:
-            u = _assemble_inputs(code, trials + flagged, master_seed)
+            pending_ids.append(trials + flagged)
+            pending_rows.append(rows[flagged])
+            frame_errors += flagged.size
+        trials += used
+        last = trials >= stop.max_trials or frame_errors >= stop.min_frame_errors
+        pending = sum(ids.size for ids in pending_ids)
+        if pending and (pending >= _DECODE_FRAMES or last):
+            u = _assemble_inputs(code, np.concatenate(pending_ids), master_seed)
             x = _encode_batch(code.kernel, u)
-            y = np.where(_unpack_erased(rows[flagged], n), np.uint8(Symbol.ERASED), x)
+            erased = _unpack_erased(np.concatenate(pending_rows), n)
+            y = np.where(erased, np.uint8(Symbol.ERASED), x)
             u_hat, flags = decode_batch(code, y)
+            pending_ids.clear()
+            pending_rows.clear()
             bad = (flags[:, info] == 1) | (u_hat[:, info] != u[:, info])
-            frame_bad = bad.any(axis=1)
-            if not frame_bad.all():
+            if not bad.any(axis=1).all():
                 raise AssertionError("screen flagged a frame the decoder resolved")
             bit_errors += int(bad.sum())
             bit_erasures += int((flags[:, info] == 1).sum())
-            frame_errors += int(frame_bad.sum())
-        trials += used
     return _report(
         code, eps, trials, bit_errors, bit_erasures, frame_errors, master_seed
     )

@@ -16,7 +16,7 @@ from polarkit import (
     polarisation_distance,
     select_information_set,
 )
-from polarkit.bec import Spectrum, batch_profiles
+from polarkit.bec import Spectrum, batch_curves, batch_profiles
 from polarkit.kernels import family_rows
 
 G2 = parse_kernel("10,11")
@@ -325,6 +325,28 @@ def test_distance_in_unit_interval_at_half(idx, depth):
         depth = 5
     d = polarisation_distance(evolve_spectrum(k, 0.5, depth))
     assert -1e-12 <= d <= 1.0 + 1e-12
+
+
+def _curve_distance(k, eps0, depth):
+    return batch_curves(batch_profiles([k.row_bits()], k.l), eps0, depth)[0, -1]
+
+
+def test_distance_equals_survey_curve_bit_for_bit():
+    # eps0**2 and eps0 * eps0 differ in the last bit at this eps0.
+    eps0 = 0.42672114373024106
+    assert eps0**2 != eps0 * eps0
+    d = polarisation_distance(evolve_spectrum(G101, eps0, 1))
+    assert d == _curve_distance(G101, eps0, 1) == 0.2759154611464781
+
+
+def test_distance_equals_survey_curve_on_a_sweep():
+    rng = np.random.default_rng(20240509)
+    kernels = [G2, G101, GE] + random_kernels(3, 3, seed=8)
+    for k in kernels + random_kernels(4, 3, seed=9):
+        for eps0 in rng.uniform(0.0, 1.0, 20):
+            for depth in (1, 2, 3):
+                d = polarisation_distance(evolve_spectrum(k, eps0, depth))
+                assert d == _curve_distance(k, eps0, depth), (k, eps0, depth)
 
 
 # ------------------------------------------------- bounds / information set

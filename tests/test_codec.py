@@ -558,3 +558,28 @@ def test_genie_flags_of_singular_kernel_position_no_output_determines():
     erased = np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=bool)
     flags = genie_erasure_flags(parse_kernel("11,11"), 1, erased)
     assert np.array_equal(flags, [[1, 0], [1, 0], [1, 0], [1, 1]])
+
+
+def test_genie_flags_match_det_table_on_every_known_set():
+    # At depth 1 the screen must reproduce the DET table exactly, whichever
+    # of its OR-of-ANDs or AND-of-ORs forms it evaluates.
+    from polarkit import Kernel
+    from polarkit.codec import _round_tables
+
+    rng = np.random.default_rng(9)
+    kernels = [
+        Kernel(np.array(m, dtype=np.uint8).reshape(3, 3))
+        for m in itertools.product((0, 1), repeat=9)
+    ]
+    kernels += [
+        Kernel(rng.integers(0, 2, (l, l), dtype=np.uint8))
+        for l in (2, 4, 5)
+        for _ in range(20)
+    ]
+    for kernel in kernels:
+        l = kernel.l
+        kappa = np.arange(1 << l)
+        erased = ((kappa[:, None] >> np.arange(l)) & 1) == 0
+        flags = genie_erasure_flags(kernel, 1, erased)
+        det, _ = _round_tables(kernel)
+        assert np.array_equal(flags, ~det.T), kernel.descriptor()

@@ -206,3 +206,61 @@ def test_bit_transpose_matches_unpacked_transpose(rows, cols):
     want = np.packbits(bits.T.copy(), axis=1, bitorder="little").view(np.uint64)
     assert np.array_equal(got, want)
     assert np.array_equal(words, before)
+
+
+def test_bit_transpose_on_monte_carlo_shapes():
+    from polarkit.sim import _bit_transpose
+
+    # A default chunk of trials against N = 2187, padded to 35 words.
+    rows, cols = 8192, 2240
+    rng = np.random.default_rng(2187)
+    bits = rng.integers(0, 2, (rows, cols), dtype=np.uint8)
+    words = np.packbits(bits, axis=1, bitorder="little").view(np.uint64)
+    before = words.copy()
+    got = _bit_transpose(words, rows, cols)
+    want = np.packbits(bits.T.copy(), axis=1, bitorder="little").view(np.uint64)
+    assert np.array_equal(got, want)
+    assert np.array_equal(words, before)
+
+    # Every single bit of a 64x128 matrix lands at its transposed place.
+    rows, cols = 64, 128
+    for r in range(rows):
+        for c in range(cols):
+            words = np.zeros((rows, cols // 64), dtype=np.uint64)
+            words[r, c // 64] = np.uint64(1) << np.uint64(c % 64)
+            got = _bit_transpose(words, rows, cols)
+            assert words[r, c // 64] == np.uint64(1) << np.uint64(c % 64)
+            assert np.count_nonzero(got) == 1
+            assert got[c, r // 64] == np.uint64(1) << np.uint64(r % 64)
+
+
+@pytest.mark.parametrize("decode_frames", [1, 10**9])
+def test_deferred_decoding_equals_direct_loop(monkeypatch, decode_frames):
+    from polarkit import sim
+
+    calls = []
+    decode_batch = sim.decode_batch
+
+    def counting_decode(code, ys):
+        calls.append(ys.shape[0])
+        return decode_batch(code, ys)
+
+    monkeypatch.setattr(sim, "_DECODE_FRAMES", decode_frames)
+    monkeypatch.setattr(sim, "decode_batch", counting_decode)
+    code = PolarCode.construct(G2, 4, 8, 0.5)
+    stop = StopRule(200, 2000)
+    want = _run_direct(code, 0.6, stop, master_seed=21)
+    assert want.frame_errors == 200
+    for batch_size in (13, 64, None):
+        calls.clear()
+        kwargs = {} if batch_size is None else {"batch_size": batch_size}
+        got = run_monte_carlo(code, 0.6, stop, master_seed=21, **kwargs)
+        assert got == want
+        assert sum(calls) == want.frame_errors
+        if decode_frames == 1:
+            # Each chunk's flagged frames are decoded before the next chunk.
+            chunk = batch_size or 1 << 13
+            assert max(calls) <= chunk
+            assert len(calls) >= -(-want.frame_errors // chunk)
+        else:
+            assert calls == [want.frame_errors]
