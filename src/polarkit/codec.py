@@ -218,11 +218,25 @@ def _kron_encode(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     the column index in turn.
     """
     l = g.shape[0]
-    gt = np.ascontiguousarray(g.T, dtype=np.uint8)  # column sums <= l fit uint8
     x = u.astype(np.uint8)
+    if u.shape[1] == 1:
+        return x
+    # Output column c of each block is the XOR of the input rows r with
+    # g[r, c] = 1.
+    sources = [[r for r, bit in enumerate(col) if bit] for col in g.T.tolist()]
+    y = np.empty_like(x)
     step = 1
     while step < u.shape[1]:
-        x = (gt @ x.reshape(-1, l, step)) & 1
+        xb, yb = x.reshape(-1, l, step), y.reshape(-1, l, step)
+        for c, rs in enumerate(sources):
+            out = yb[:, c]
+            if len(rs) < 2:
+                out[...] = xb[:, rs[0]] if rs else 0
+                continue
+            np.bitwise_xor(xb[:, rs[0]], xb[:, rs[1]], out=out)
+            for r in rs[2:]:
+                np.bitwise_xor(out, xb[:, r], out=out)
+        x, y = y, x
         step *= l
     return x.reshape(u.shape)
 

@@ -237,12 +237,16 @@ def family_rows(l: int, family: str = "all") -> np.ndarray:
     return rows
 
 
-def row_descriptors(rows: np.ndarray) -> list[str]:
-    """`Kernel.descriptor()` of every kernel in an (M, l) row-bit array."""
-    l = rows.shape[1]
-    # Row r's string lists columns 0..l-1, i.e. bits 0..l-1 of its row bits.
-    row_text = [format(v, f"0{l}b")[::-1] for v in range(1 << l)]
-    return [",".join([row_text[b] for b in r]) for r in rows.tolist()]
+def row_descriptors(rows: np.ndarray, sep: str = ",") -> list[str]:
+    """`Kernel.descriptor()` of every kernel in an (M, l) row-bit array, with
+    the rows joined by the one-character `sep` instead of a comma."""
+    m, l = rows.shape
+    # Row r's text lists columns 0..l-1, i.e. bits 0..l-1 of its row bits.
+    digits = (np.arange(1 << l)[:, None] >> np.arange(l)) & 1
+    text = np.full((m, l, l + 1), ord(sep), dtype=np.uint8)
+    text[:, :, :l] = (digits + ord("0")).astype(np.uint8)[rows]
+    text[:, -1, -1] = ord("\n")  # ends each kernel's text
+    return text.tobytes().decode("ascii").split("\n")[:-1]
 
 
 def enumerate_kernels(l: int, family: str = "all") -> Iterator[Kernel]:

@@ -312,6 +312,8 @@ def run_monte_carlo(
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {eps}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     n, info = code.N, code.info_set
     n64 = -(-n // 64)
     trials = frame_errors = bit_errors = bit_erasures = 0

@@ -7,13 +7,17 @@ of row bits: it computes the one-step count tables of all kernels in bulk
 with vectorised numpy, evolves one curve per distinct table, and builds a
 Kernel object only for each group's representative. The count tables, curves
 and exponents come from the batch routines of `bec` and `kernels`, the same
-ones behind the single-kernel calls.
+ones behind the single-kernel calls. Group records are columnar: each holds
+its members' row bits, exponents and family indices as arrays, the CSV is
+written from those arrays, and per-member `SurveyMember` objects are built
+only when `GroupRecord.members` is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,13 +64,15 @@ class SurveyMember:
     order: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroupRecord:
     """One survey group: kernels sharing a distance curve.
 
     group_id 1 has the lowest (best) curve value at the final depth; ids are
     contiguous. `polarising` applies to every member (the flag is a function
-    of the shared curve).
+    of the shared curve). The members are held as columns: their row bits,
+    rate exponents (NaN for a singular kernel) and family indices, in
+    ascending family order.
     """
 
     group_id: int
@@ -74,11 +80,27 @@ class GroupRecord:
     representative: Kernel
     distance_curve: tuple[float, ...]
     polarising: bool
-    members: tuple[SurveyMember, ...]
+    member_rows: np.ndarray
+    member_exponents: np.ndarray
+    member_orders: np.ndarray
 
     @property
     def invertible_count(self) -> int:
-        return sum(1 for m in self.members if m.exponent is not None)
+        return int(np.count_nonzero(~np.isnan(self.member_exponents)))
+
+    @property
+    def members(self) -> tuple[SurveyMember, ...]:
+        """One `SurveyMember` per member, built from the columns on demand."""
+        return tuple(
+            SurveyMember(
+                descriptor=d, exponent=None if math.isnan(x) else x, order=i
+            )
+            for d, x, i in zip(
+                row_descriptors(self.member_rows),
+                self.member_exponents.tolist(),
+                self.member_orders.tolist(),
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -203,22 +225,18 @@ def _group_rows(rows: np.ndarray, l: int, eps0: float, depth: int) -> list[Group
         raw_groups.append((curve, members))
     raw_groups.sort(key=lambda g: (g[0][-1], g[0]))
 
-    descriptors = row_descriptors(rows)
-    exps = [None if math.isnan(x) else x for x in exponents.tolist()]
     records = []
     for gid, (curve, members) in enumerate(raw_groups, start=1):
-        entries = tuple(
-            SurveyMember(descriptor=descriptors[i], exponent=exps[i], order=i)
-            for i in members.tolist()
-        )
         records.append(
             GroupRecord(
                 group_id=gid,
-                member_count=len(entries),
+                member_count=members.size,
                 representative=Kernel.from_row_bits(rows[members[0]]),
                 distance_curve=curve,
                 polarising=bool(curve[-1] < curve[0] - POLARISING_MARGIN),
-                members=entries,
+                member_rows=rows[members],
+                member_exponents=exponents[members],
+                member_orders=members,
             )
         )
     return records
@@ -231,15 +249,24 @@ def survey_csv_text(records: Sequence[GroupRecord]) -> str:
     header = "kernel_rows,group_id,polarising,exponent," + ",".join(
         f"d{i}" for i in range(1, depth + 1)
     )
+    names = row_descriptors(
+        np.concatenate([rec.member_rows for rec in records]), sep=";"
+    )
+    # Each distinct exponent (NaN for the singular kernels) is formatted once.
+    values, which = np.unique(
+        np.concatenate([rec.member_exponents for rec in records]),
+        return_inverse=True,
+    )
+    texts = ["" if math.isnan(v) else f"{v:.12g}" for v in values.tolist()]
+    cells = zip(names, [texts[i] for i in which.tolist()])
     lines = [header]
     for rec in records:
-        curve = ",".join(f"{v:.12g}" for v in rec.distance_curve)
-        for member in rec.members:
-            exp = "" if member.exponent is None else f"{member.exponent:.12g}"
-            rows = member.descriptor.replace(",", ";")
-            lines.append(
-                f"{rows},{rec.group_id},{int(rec.polarising)},{exp},{curve}"
-            )
+        middle = f",{rec.group_id},{int(rec.polarising)},"
+        curve = "," + ",".join(f"{v:.12g}" for v in rec.distance_curve)
+        lines += [
+            name + middle + exp + curve
+            for name, exp in islice(cells, rec.member_count)
+        ]
     return "\n".join(lines) + "\n"
 
 

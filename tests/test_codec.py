@@ -109,6 +109,19 @@ def test_encode_equals_permuted_kronecker(kernel, max_depth):
         assert np.array_equal(_encode_batch(kernel, u), (u @ ref) % 2)
 
 
+@pytest.mark.parametrize(
+    "desc,max_depth", [("100,100,110", 3), ("10000,11000,10100,10010,11111", 2)]
+)
+def test_encode_zero_and_heavy_kernel_columns(desc, max_depth):
+    # a singular kernel with an all-zero column, and a column of weight 5
+    kernel = parse_kernel(desc)
+    rng = np.random.default_rng(1)
+    for depth in range(max_depth + 1):
+        ref = reference_generator(kernel, depth)
+        u = rng.integers(0, 2, (50, kernel.l**depth), dtype=np.uint8)
+        assert np.array_equal(_encode_batch(kernel, u), (u @ ref) % 2)
+
+
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_encode_linearity(data):

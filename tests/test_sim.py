@@ -90,6 +90,20 @@ def test_batch_size_does_not_change_results():
     assert a == b == c
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_run_monte_carlo_rejects_batch_size_below_one(batch_size, monkeypatch):
+    import polarkit.sim
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking batch_size")
+
+    monkeypatch.setattr(polarkit.sim, "_known_rows", no_sampling)
+    code = PolarCode.construct(G2, 3, 4, 0.5)
+    stop = StopRule(min_frame_errors=5, max_trials=100)
+    with pytest.raises(ValueError, match="batch_size"):
+        run_monte_carlo(code, 0.5, stop, master_seed=5, batch_size=batch_size)
+
+
 def test_reports_reproducible():
     code = PolarCode.construct(G2, 5, 8, 0.5)
     stop = StopRule(min_frame_errors=10, max_trials=300)

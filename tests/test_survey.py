@@ -7,13 +7,16 @@ from polarkit import (
     Kernel,
     enumerate_kernels,
     export_survey,
+    family_rows,
     group_survey,
     invertible_summary,
     one_step_profile,
     parse_kernel,
+    partial_distances,
     signature,
     survey_family,
 )
+from polarkit.kernels import row_descriptors
 from polarkit.survey import _unique_rows, survey_csv_text
 
 G2 = parse_kernel("10,11")
@@ -188,3 +191,58 @@ def test_unique_rows_matches_numpy_unique():
     got, got_inverse = _unique_rows(a)
     assert np.array_equal(got, want)
     assert np.array_equal(got_inverse, want_inverse.reshape(-1))
+
+
+def _literal_survey_csv(kernels, records):
+    """The survey CSV written one member at a time from Kernel objects."""
+    depth = len(records[0].distance_curve)
+    lines = ["kernel_rows,group_id,polarising,exponent,"
+             + ",".join(f"d{i}" for i in range(1, depth + 1))]
+    for rec in records:
+        curve = ",".join(f"{v:.12g}" for v in rec.distance_curve)
+        orders = [m.order for m in rec.members]
+        assert orders == sorted(orders)
+        for i in orders:
+            k = kernels[i]
+            exp = f"{partial_distances(k).exponent:.12g}" if k.invertible else ""
+            rows = k.descriptor().replace(",", ";")
+            lines.append(f"{rows},{rec.group_id},{int(rec.polarising)},{exp},{curve}")
+    return "\n".join(lines) + "\n"
+
+
+def test_columnar_export_equals_literal_csv_3x3_all():
+    kernels = list(enumerate_kernels(3, "all"))
+    records = survey_family(3, "all", 0.5, 7)
+    assert survey_csv_text(records) == _literal_survey_csv(kernels, records)
+
+
+def test_columnar_export_equals_literal_csv_3x3_lower_triangular():
+    records = group_survey(LT3, 0.5, 7)
+    assert survey_csv_text(records) == _literal_survey_csv(LT3, records)
+
+
+def test_columnar_export_equals_literal_csv_on_4x4_sample():
+    rng = np.random.default_rng(20240509)
+    rows = family_rows(4, "all")[rng.choice(1 << 16, 2_000, replace=False)]
+    kernels = [Kernel.from_row_bits(r) for r in rows]
+    records = group_survey(kernels, 0.5, 5)
+    text = survey_csv_text(records)
+    assert text == _literal_survey_csv(kernels, records)
+    assert len(text.strip().split("\n")) == 2_001
+
+
+@pytest.mark.parametrize("l,family", [(4, "all"), (5, "lower_triangular_unit_diagonal")])
+def test_row_descriptors_match_kernel_descriptors(l, family):
+    rows = family_rows(l, family)
+    assert row_descriptors(rows) == [Kernel.from_row_bits(r).descriptor() for r in rows]
+    assert row_descriptors(rows[:3], sep=";") == [
+        Kernel.from_row_bits(r).descriptor().replace(",", ";") for r in rows[:3]
+    ]
+
+
+def test_invertible_count_matches_members():
+    records = survey_family(3, "all", 0.5, 7)
+    assert sum(rec.member_count for rec in records) == 512
+    for rec in records:
+        assert len(rec.members) == rec.member_count
+        assert rec.invertible_count == sum(m.exponent is not None for m in rec.members)
