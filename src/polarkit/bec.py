@@ -31,6 +31,8 @@ PROB_ATOL = 1e-9
 
 _MAX_PROFILE_SIZE = 20
 _MAX_ORACLE_BLOCK = 8
+#: largest spectrum (and code length) l^depth accepted
+_MAX_SPECTRUM_SIZE = 1 << 24
 #: (kernel, erasure pattern) lanes per block of the count-table elimination
 _BLOCK_LANES = 1 << 15
 
@@ -206,8 +208,17 @@ def batch_curves(counts: np.ndarray, eps0: float, depth: int) -> np.ndarray:
     return curves
 
 
+def _exceeds_budget(l: int, depth: int, max_size: int = _MAX_SPECTRUM_SIZE) -> bool:
+    """Whether l^depth > max_size, without forming l^depth for a huge depth.
+
+    For l >= 2, l^depth >= 2^depth, so any depth above max_size's bit length
+    exceeds the budget whatever l is.
+    """
+    return l ** min(depth, max_size.bit_length()) > max_size
+
+
 def evolve_spectrum(
-    k: Kernel, eps0: float, depth: int, max_size: int = 1 << 24
+    k: Kernel, eps0: float, depth: int, max_size: int = _MAX_SPECTRUM_SIZE
 ) -> Spectrum:
     """Erasure spectrum after `depth` recursive kernel applications.
 
@@ -218,7 +229,7 @@ def evolve_spectrum(
         raise ValueError(f"design erasure rate must be in [0, 1], got {eps0}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if k.l**depth > max_size:
+    if _exceeds_budget(k.l, depth, max_size):
         raise BudgetExceededError(
             f"spectrum of size {k.l}^{depth} exceeds the budget of {max_size}"
         )

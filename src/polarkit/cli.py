@@ -29,7 +29,7 @@ from .kernels import (  # noqa: F401
     row_descriptors,
 )
 from .ioutil import atomic_write_text
-from .sim import StopRule, run_monte_carlo, sim_csv_text
+from .sim import _SEED_LIMIT, StopRule, run_monte_carlo, sim_csv_text
 
 _ORACLE_EPS = (0.1, 0.3, 0.5, 0.7, 0.9)
 _ORACLE_TOL = 1e-12
@@ -233,11 +233,23 @@ def _cmd_construct(ns) -> int:
     return 0
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer literal; one too long for int() is refused with a
+    plain message rather than Python's hint about its digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = len(text.lstrip("-"))
+        raise ValueError(f"integer of {digits} digits is out of range") from None
+
+
 def _cmd_simulate(ns) -> int:
+    if not 0 <= ns.seed < _SEED_LIMIT:
+        raise UsageError(f"--seed must be in [0, 2**64), got {ns.seed}")
     if ns.code:
         try:
             with open(_out_path(ns.code)) as fh:
-                code = PolarCode.from_json_dict(json.load(fh))
+                code = PolarCode.from_json_dict(json.load(fh, parse_int=_json_int))
         except FileNotFoundError as exc:
             raise UsageError(f"code file not found: {exc.filename}") from None
         except (KeyError, TypeError, ValueError) as exc:

@@ -40,7 +40,12 @@ import numpy as np
 
 from . import gf2
 from .errors import BudgetExceededError, DecodingIntegrityError
-from .bec import evolve_spectrum, select_information_set
+from .bec import (
+    _MAX_SPECTRUM_SIZE,
+    _exceeds_budget,
+    evolve_spectrum,
+    select_information_set,
+)
 from .kernels import Kernel, digit_reversal_permutation
 
 
@@ -99,6 +104,15 @@ class PolarCode:
             raise ValueError("polar codes require an invertible kernel")
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
+        if _exceeds_budget(self.kernel.l, self.depth):
+            raise BudgetExceededError(
+                f"code length {self.kernel.l}^depth exceeds the spectrum budget "
+                f"of {_MAX_SPECTRUM_SIZE}"
+            )
+        if not 0.0 <= self.design_eps <= 1.0:
+            raise ValueError(
+                f"design erasure rate must be in [0, 1], got {self.design_eps}"
+            )
         n = self.kernel.l**self.depth
         mask = gf2.as_bits(self.frozen_mask, 1)
         vals = gf2.as_bits(self.frozen_values, 1)
@@ -346,6 +360,87 @@ def kernel_step_decide(k: Kernel, pos: int, prior, observed) -> Symbol:
 
 
 # --------------------------------------------------------------------------
+# per-code node plan
+
+#: node classes: every input frozen, every input information, or both kinds
+_RATE0, _RATE1, _MIXED = 0, 1, 2
+
+
+@dataclass(frozen=True, eq=False)
+class _ScreenLevel:
+    """One level of the screen, over the nodes kept by the level above.
+
+    Child t of kept node p has index p*l + t. `live[t]` says whether output
+    t is computed at all (some child t is not rate-0); `rate1` lists the
+    rate-1 children, or is None if there are none; `mixed` lists the
+    children kept for the next level, or is None when every child is kept.
+    """
+
+    live: tuple[bool, ...]
+    rate1: np.ndarray | None
+    mixed: np.ndarray | None
+
+
+@dataclass(frozen=True, eq=False)
+class _NodePlan:
+    """Node classes of a code's decoding tree, derived once per code.
+
+    Node i at level k covers inputs i*S..(i+1)*S-1, S = N / l^k. `root` is
+    the class of the whole code and `levels` drive the pruned screen.
+    `rate0` maps (first input, S) of each rate-0 node whose parent is not
+    rate-0, the ones the decoder reaches, to the (1, S) re-encoding of its
+    frozen values.
+    """
+
+    root: int
+    levels: tuple[_ScreenLevel, ...]
+    rate0: dict[tuple[int, int], np.ndarray]
+
+
+@functools.lru_cache(maxsize=32)
+def _node_plan(code: PolarCode) -> _NodePlan:
+    l, n = code.kernel.l, code.N
+    frozen = code.frozen_mask.astype(np.int64)
+    classes = []
+    for k in range(code.depth + 1):
+        per_node = frozen.reshape(l**k, -1).sum(axis=1)
+        size = n // l**k
+        classes.append(
+            np.where(per_node == size, _RATE0, np.where(per_node == 0, _RATE1, _MIXED))
+        )
+    rate0 = {}
+    for k, cls in enumerate(classes):
+        size = n // l**k
+        reached = cls == _RATE0
+        if k:
+            reached &= np.repeat(classes[k - 1] != _RATE0, l)
+        ids = np.flatnonzero(reached)
+        if ids.size:
+            enc = _kron_encode(code.kernel.matrix, code.frozen_values.reshape(-1, size)[ids])
+            enc.setflags(write=False)
+            for i, row in zip(ids.tolist(), enc):
+                rate0[(i * size, size)] = row[None]
+    levels = []
+    kept = np.flatnonzero(classes[0] == _MIXED)
+    for cls in classes[1:]:
+        if not kept.size:
+            break
+        children = (kept[:, None] * l + np.arange(l)).reshape(-1)
+        child_cls = cls[children]
+        rate1 = np.flatnonzero(child_cls == _RATE1)
+        mixed = np.flatnonzero(child_cls == _MIXED)
+        levels.append(
+            _ScreenLevel(
+                live=tuple((child_cls.reshape(-1, l) != _RATE0).any(axis=0).tolist()),
+                rate1=rate1 if rate1.size else None,
+                mixed=None if mixed.size == children.size else mixed,
+            )
+        )
+        kept = children[mixed]
+    return _NodePlan(root=int(classes[0][0]), levels=tuple(levels), rate0=rate0)
+
+
+# --------------------------------------------------------------------------
 # successive cancellation over batches
 
 
@@ -353,7 +448,8 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Vectorised sc_decode over a (B, N) symbol batch -> (u_hat, flags).
 
     Each call builds its own decoder state (the decision tables are cached
-    per kernel), so concurrent decodes of one code need no coordination.
+    per kernel, the read-only rate-0 re-encodings per code in its
+    `_node_plan`), so concurrent decodes of one code need no coordination.
     """
     ys = np.asarray(ys, dtype=np.uint8)
     if ys.ndim != 2 or ys.shape[1] != code.N:
@@ -364,7 +460,7 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     det, lam = _round_tables(code.kernel)
     row_bits = np.array(code.kernel.row_bits(), dtype=np.uint32)
     shifts = np.arange(l, dtype=np.uint32)[:, None]
-    mask, values = code.frozen_mask, code.frozen_values
+    values, rate0 = code.frozen_values, _node_plan(code).rate0
     u_hat = np.empty((batch, code.N), dtype=np.uint8)
     flags = np.zeros((batch, code.N), dtype=np.uint8)
     poison = np.zeros(batch, dtype=bool)
@@ -374,9 +470,9 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
         re-encoding of the decisions."""
         nonlocal poison
         m = msg.shape[1]
-        if mask[lo : lo + m].all():
+        enc = rate0.get((lo, m))
+        if enc is not None:
             # Rate-0 subtree: the decisions are the frozen values.
-            enc = _kron_encode(code.kernel.matrix, values[None, lo : lo + m])
             u_hat[:, lo : lo + m] = values[lo : lo + m]
             poison |= ((msg <= 1) & (msg != enc)).any(axis=1)
             return np.broadcast_to(enc, msg.shape)
@@ -481,6 +577,15 @@ def map_oracle_decode(code: PolarCode, y) -> DecodeResult:
 
 # --------------------------------------------------------------------------
 # erasure-pattern screening
+#
+# The screen runs the genie-aided recursion on bit-packed knownness planes,
+# one plane of W bytes per message, eight trials per byte. It goes level by
+# level in node-major layout: a node of size S holds its S messages
+# contiguously, kernel operation b of the node reads messages b*l..b*l+l-1,
+# and child t receives output t of every operation. After k levels a node's
+# index is the base-l prefix (first k digits) of its input indices, so after
+# the last level the planes are in input order.
+
 
 @functools.lru_cache(maxsize=128)
 def _monotone_forms(kernel: Kernel) -> list[tuple[bool, list[list[int]]]]:
@@ -524,45 +629,115 @@ def _monotone_forms(kernel: Kernel) -> list[tuple[bool, list[list[int]]]]:
     return forms
 
 
-def _screen_known_planes(
-    kernel: Kernel, depth: int, known: np.ndarray
-) -> np.ndarray:
+def _screen_round(forms, cols, outs, scratch) -> None:
+    """One kernel round of the screen over every operation of a level.
+
+    `cols[c]` holds the planes of output column c of every operation and
+    `outs[t]` receives the determination planes of input t, or is None when
+    input t is not needed; `scratch` has the shape of one column.
+    """
+    for (and_of_ors, groups), acc in zip(forms, outs):
+        if acc is None:
+            continue
+        if not groups:  # no set of outputs determines this input
+            acc[...] = 0
+        inner, outer = np.bitwise_and, np.bitwise_or
+        if and_of_ors:
+            inner, outer = outer, inner
+        # The first group is written straight into acc, later ones into
+        # scratch and combined in; a one-column group is that column
+        # (x & x = x | x = x).
+        for i, cols_i in enumerate(groups):
+            dst = scratch if i else acc
+            inner(cols[cols_i[0]], cols[cols_i[-1]], out=dst)
+            for c in cols_i[1:-1]:
+                inner(dst, cols[c], out=dst)
+            if i:
+                outer(acc, scratch, out=acc)
+
+
+def _screen_levels(kernel: Kernel, levels, planes: np.ndarray):
+    """Run the screen's levels over (N, W) planes, overwriting `planes`.
+
+    Each level is a `_ScreenLevel` over the nodes kept by the level above
+    (the root first). Returns the AND of the planes of every message of
+    every rate-1 child, and the (nodes * size, W) planes of the nodes kept
+    by the last level, in node-major order.
+    """
+    l, forms = kernel.l, _monotone_forms(kernel)
+    n, width = planes.shape
+    # Each level reads its parents from `src` and writes their children to
+    # `dst`; the consumed parent planes then take the compacted children.
+    src = planes.reshape(-1)
+    dst = np.empty_like(src)
+    scratch = np.empty(src.size // l, dtype=np.uint8)
+    rate1_known = np.full(width, 0xFF, dtype=np.uint8)
+    nodes, size = 1, n
+    for level in levels:
+        span = nodes * size * width
+        v = src[:span].reshape(nodes, size // l, l, width)
+        out = dst[:span].reshape(nodes, l, size // l, width)
+        _screen_round(
+            forms,
+            [v[:, :, c] for c in range(l)],
+            [out[:, t] if live else None for t, live in enumerate(level.live)],
+            scratch[: span // l].reshape(nodes, size // l, width),
+        )
+        children = out.reshape(nodes * l, size // l, width)
+        size //= l
+        # mode="clip" lets take() write straight into `out=` (the indices
+        # are all in range); mode="raise" would buffer the copy.
+        if level.rate1 is not None:
+            gathered = src[: level.rate1.size * size * width]
+            gathered = gathered.reshape(level.rate1.size, size, width)
+            np.take(children, level.rate1, axis=0, out=gathered, mode="clip")
+            rate1_known &= np.bitwise_and.reduce(gathered.reshape(-1, width), axis=0)
+        if level.mixed is None:
+            nodes *= l
+            src, dst = dst, src
+        else:
+            nodes = level.mixed.size
+            kept = src[: nodes * size * width].reshape(nodes, size, width)
+            np.take(children, level.mixed, axis=0, out=kept, mode="clip")
+    return rate1_known, src[: nodes * size * width].reshape(nodes * size, width)
+
+
+def _screen_positions(kernel: Kernel, depth: int, known: np.ndarray) -> np.ndarray:
     """Propagate bit-packed knownness planes from the channel to the inputs.
 
-    `known` has shape (N, W): one bitplane row per output position, eight
-    trials per byte. Returns the same shape for the N input positions: bit set
-    iff that input is determined given all earlier inputs (genie-aided). The
-    result depends only on the erasure pattern, not on transmitted values.
+    The full screen: every node is kept at every level. `known` has shape
+    (N, W): one bitplane row per output position, eight trials per byte; it
+    is overwritten. Returns the same shape for the N input positions: bit
+    set iff that input is determined given all earlier inputs (genie-aided).
+    The result depends only on the erasure pattern, not on transmitted
+    values.
     """
-    l = kernel.l
-    forms = _monotone_forms(kernel)
-    cur = known
-    n_wires, width = known.shape
-    m = l
-    while m <= n_wires:
-        v = cur.reshape(-1, l, m // l, width)
-        out = np.empty((v.shape[0], m // l, l, width), dtype=np.uint8)
-        buf = np.empty((v.shape[0], m // l, width), dtype=np.uint8)
-        for t, (and_of_ors, groups) in enumerate(forms):
-            acc = out[:, :, t, :]
-            if not groups:  # no set of outputs determines position t
-                acc[:] = 0
-            inner, outer = np.bitwise_and, np.bitwise_or
-            if and_of_ors:
-                inner, outer = outer, inner
-            # The first group is written straight into acc, later ones into
-            # buf and combined in; a one-column group is that column
-            # (x & x = x | x = x).
-            for i, cols in enumerate(groups):
-                dst = buf if i else acc
-                inner(v[:, cols[0]], v[:, cols[-1]], out=dst)
-                for c in cols[1:-1]:
-                    inner(dst, v[:, c], out=dst)
-                if i:
-                    outer(acc, buf, out=acc)
-        cur = out.reshape(n_wires, width)
-        m *= l
-    return cur
+    keep_all = _ScreenLevel(live=(True,) * kernel.l, rate1=None, mixed=None)
+    return _screen_levels(kernel, (keep_all,) * depth, known)[1]
+
+
+def _screen_known_planes(
+    kernel: Kernel, plan: "_NodePlan", known: np.ndarray
+) -> np.ndarray:
+    """Frame-error plane of a chunk, from its (N, W) knownness planes.
+
+    The pruned screen, which `run_monte_carlo` uses: bit j of the returned
+    (W,) plane is set iff genie-aided SC leaves some information input of
+    trial j undetermined, i.e. iff the frame errs. `plan` is the code's
+    `_node_plan`; `known` is overwritten. Rate-0 children are dropped, since
+    frozen inputs never set the flag. Over an invertible kernel a rate-1
+    child leaves an input undetermined iff one of its messages is unknown:
+    with every message known each round determines all l inputs, and with
+    one erased two completions differ only in that message (the subtree map
+    is a bijection), so even MAP, which determines at least what SC does,
+    leaves an input open. Rate-1 children therefore reduce to an OR of their
+    unknown planes and are dropped too; only mixed children descend.
+    """
+    if plan.root == _RATE0:
+        return np.zeros(known.shape[1], dtype=np.uint8)
+    if plan.root == _RATE1:
+        return ~np.bitwise_and.reduce(known, axis=0)
+    return ~_screen_levels(kernel, plan.levels, known)[0]
 
 
 def genie_erasure_flags(kernel: Kernel, depth: int, erased: np.ndarray) -> np.ndarray:
@@ -580,6 +755,6 @@ def genie_erasure_flags(kernel: Kernel, depth: int, erased: np.ndarray) -> np.nd
         raise ValueError(f"expected shape (B, {n}), got {erased.shape}")
     batch = erased.shape[0]
     known = np.packbits(~erased.T, axis=1)
-    flagged = _screen_known_planes(kernel, depth, known)
+    flagged = _screen_positions(kernel, depth, known)
     out = np.unpackbits(flagged, axis=1, count=batch).T == 0
     return out

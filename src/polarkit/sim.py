@@ -50,13 +50,15 @@ from .codec import (
     PolarCode,
     Symbol,
     _encode_batch,
+    _node_plan,
     _screen_known_planes,
     decode_batch,
 )
 from . import gf2
 
 _CHANNEL_TAG = 1 << 62
-_MASK64 = (1 << 64) - 1
+#: master seeds are Philox key words: integers in [0, 2**64)
+_SEED_LIMIT = 1 << 64
 
 #: two-sided 95% normal quantile, used by the Wilson interval
 _Z95 = 1.959963984540054
@@ -78,6 +80,12 @@ class BecChannel:
     def __post_init__(self):
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"erasure probability must be in [0, 1], got {self.eps}")
+        _check_seed(self.master_seed)
+
+
+def _check_seed(master_seed: int) -> None:
+    if not 0 <= master_seed < _SEED_LIMIT:
+        raise ValueError(f"master seed must be in [0, 2**64), got {master_seed}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +148,7 @@ def _subuniform(eps: float) -> tuple[int, int]:
 
 def _channel_words(master_seed: int, word_start: int, count: int) -> np.ndarray:
     """Words [word_start, word_start + count) of the keyed channel stream."""
-    key = np.array([master_seed & _MASK64, _CHANNEL_TAG], dtype=np.uint64)
+    key = np.array([master_seed, _CHANNEL_TAG], dtype=np.uint64)
     block, lane = divmod(word_start, 4)
     bg = np.random.Philox(key=key, counter=np.array([block, 0, 0, 0], dtype=np.uint64))
     return bg.random_raw(lane + count)[lane:]
@@ -267,7 +275,7 @@ def bec_transmit(x, ch: BecChannel) -> np.ndarray:
 
 
 def _message_bits(master_seed: int, trial_index: int, k: int) -> np.ndarray:
-    key = np.array([master_seed & _MASK64, trial_index], dtype=np.uint64)
+    key = np.array([master_seed, trial_index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     return (gen.random(k) < 0.5).astype(np.uint8)
 
@@ -314,7 +322,8 @@ def run_monte_carlo(
         raise ValueError(f"erasure probability must be in [0, 1], got {eps}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n, info = code.N, code.info_set
+    _check_seed(master_seed)
+    n, info, plan = code.N, code.info_set, _node_plan(code)
     n64 = -(-n // 64)
     trials = frame_errors = bit_errors = bit_erasures = 0
     # Flagged trials and their known rows, not yet decoded.
@@ -326,8 +335,7 @@ def run_monte_carlo(
             padded = -(-chunk // 64) * 64
             rows = _known_rows(master_seed, eps, n, trials, padded)
             known = _bit_transpose(rows, padded, 64 * n64)[:n].view(np.uint8)
-            root_known = _screen_known_planes(code.kernel, code.depth, known)
-            frame_plane = np.bitwise_or.reduce(~root_known[info], axis=0)
+            frame_plane = _screen_known_planes(code.kernel, plan, known)
             frames = (
                 np.unpackbits(frame_plane, count=chunk, bitorder="little") == 1
             )

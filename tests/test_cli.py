@@ -230,3 +230,48 @@ def test_exponent_oversized_kernel_exits_3(capsys):
     assert run(["exponent", "--kernel", "10,11", "--kernel", rows]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "not supported" in captured.err
+
+
+_SIM_SMALL = ["simulate", "--kernel", "10,11", "--depth", "4", "--rate", "0.5",
+              "--eps", "0.5", "--min-frame-errors", "5", "--max-trials", "200"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["below", "above"])
+def test_simulate_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    out = tmp_path / "sim.csv"
+    assert run(_SIM_SMALL + ["--seed", str(seed), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: --seed must be in [0, 2**64)")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["lowest", "highest"])
+def test_simulate_seed_at_either_end_of_range_runs(tmp_path, seed):
+    out = tmp_path / "sim.csv"
+    assert run(_SIM_SMALL + ["--seed", str(seed), "--out", str(out)]) == 0
+    assert out.read_text().strip().split("\n")[1].endswith(f",{seed}")
+
+
+@pytest.mark.parametrize(
+    "field,literal,message",
+    [
+        ("design_eps", '"nan"', "design erasure rate must be in [0, 1], got nan"),
+        ("design_eps", "NaN", "design erasure rate must be in [0, 1], got nan"),
+        ("design_eps", "1.5", "design erasure rate must be in [0, 1], got 1.5"),
+        ("depth", "1" + "0" * 30, "exceeds the spectrum budget"),
+        ("depth", "1" + "0" * 4999, "integer of 5000 digits is out of range"),
+    ],
+    ids=["eps_nan_string", "eps_nan_literal", "eps_above_1", "depth_1e30",
+         "depth_5000_digits"],
+)
+def test_code_descriptor_out_of_range_field_exits_2(
+    tmp_path, capsys, field, literal, message
+):
+    path = _write_code(tmp_path)
+    doc = json.loads(path.read_text())
+    doc[field] = "PLACEHOLDER"
+    path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal))
+    capsys.readouterr()
+    assert run(["simulate", "--code", str(path), "--eps", "0.5",
+                "--max-trials", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad code descriptor") and message in err

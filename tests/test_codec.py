@@ -596,3 +596,17 @@ def test_genie_flags_match_det_table_on_every_known_set():
         flags = genie_erasure_flags(kernel, 1, erased)
         det, _ = _round_tables(kernel)
         assert np.array_equal(flags, ~det.T), kernel.descriptor()
+
+
+def test_code_depth_beyond_spectrum_budget_refused_before_power():
+    # 2^(10^30) is never formed: the depth is checked against the budget first.
+    with pytest.raises(BudgetExceededError, match="spectrum budget"):
+        PolarCode(kernel=G2, depth=10**30, frozen_mask=[0], frozen_values=[0])
+    with pytest.raises(BudgetExceededError, match="spectrum budget"):
+        PolarCode(kernel=GE, depth=13, frozen_mask=[0], frozen_values=[0])
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -0.1, 1.5])
+def test_code_design_eps_outside_unit_interval_refused(eps):
+    with pytest.raises(ValueError, match="design erasure rate"):
+        PolarCode(kernel=G2, depth=0, frozen_mask=[0], frozen_values=[0], design_eps=eps)

@@ -278,3 +278,14 @@ def test_deferred_decoding_equals_direct_loop(monkeypatch, decode_frames):
             assert len(calls) >= -(-want.frame_errors // chunk)
         else:
             assert calls == [want.frame_errors]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seeds_outside_64_bits_are_refused(seed):
+    # Seeds are Philox key words; reducing them modulo 2^64 would alias -1
+    # and 2^64 - 1.
+    code = PolarCode.construct(G2, 3, 4, 0.5)
+    with pytest.raises(ValueError, match="master seed"):
+        run_monte_carlo(code, 0.5, StopRule(5, 100), master_seed=seed)
+    with pytest.raises(ValueError, match="master seed"):
+        BecChannel(0.5, master_seed=seed)
