@@ -15,7 +15,17 @@ message columns, recurses, and folds the block's re-encoding into the
 already-decided part of every column. Over the BEC every message is a known
 0, a known 1 or an erasure. A node whose inputs are all frozen is not
 descended into: its re-encoding is that of the frozen values (Alamdar-Yazdi
-and Kschischang, IEEE Comm. Letters 2011).
+and Kschischang, IEEE Comm. Letters 2011), computed once per code in the
+code's node plan.
+
+The genie screen runs the same recursion on bit-packed knownness planes of
+many trials at once. It has two entry points over one per-level routine:
+the full screen (`_screen_positions`), which yields every input's
+determination and backs `genie_erasure_flags`, and the pruned frame screen
+(`_screen_known_planes`) of the Monte Carlo runs, which skips all-frozen
+subtrees, reduces all-information subtrees to an OR of their unknown
+message planes (Sarkis et al., "Fast polar decoders", IEEE JSAC 2014) and
+returns only the frame-error plane.
 
 Kernels are invertible, so every received word agrees with some input, and
 the sequential-MAP set of inputs that agree with the word and the decisions so
@@ -370,13 +380,14 @@ _RATE0, _RATE1, _MIXED = 0, 1, 2
 class _ScreenLevel:
     """One level of the screen, over the nodes kept by the level above.
 
-    Child t of kept node p has index p*l + t. `live[t]` says whether output
-    t is computed at all (some child t is not rate-0); `rate1` lists the
+    Child t of kept node p has index p*l + t. `parents[t]` is the slice of
+    kept nodes whose output t is computed, from the first to the last whose
+    child t is not rate-0, or None when every child t is; `rate1` lists the
     rate-1 children, or is None if there are none; `mixed` lists the
     children kept for the next level, or is None when every child is kept.
     """
 
-    live: tuple[bool, ...]
+    parents: tuple[slice | None, ...]
     rate1: np.ndarray | None
     mixed: np.ndarray | None
 
@@ -400,23 +411,22 @@ class _NodePlan:
 @functools.lru_cache(maxsize=32)
 def _node_plan(code: PolarCode) -> _NodePlan:
     l, n = code.kernel.l, code.N
-    frozen = code.frozen_mask.astype(np.int64)
+    sizes = [n // l**k for k in range(code.depth + 1)]
     classes = []
-    for k in range(code.depth + 1):
-        per_node = frozen.reshape(l**k, -1).sum(axis=1)
-        size = n // l**k
+    for size in sizes:
+        frozen = code.frozen_mask.reshape(-1, size).sum(axis=1, dtype=np.int64)
         classes.append(
-            np.where(per_node == size, _RATE0, np.where(per_node == 0, _RATE1, _MIXED))
+            np.where(frozen == size, _RATE0, np.where(frozen == 0, _RATE1, _MIXED))
         )
     rate0 = {}
-    for k, cls in enumerate(classes):
-        size = n // l**k
+    for k, (size, cls) in enumerate(zip(sizes, classes)):
         reached = cls == _RATE0
         if k:
             reached &= np.repeat(classes[k - 1] != _RATE0, l)
         ids = np.flatnonzero(reached)
         if ids.size:
-            enc = _kron_encode(code.kernel.matrix, code.frozen_values.reshape(-1, size)[ids])
+            values = code.frozen_values.reshape(-1, size)[ids]
+            enc = _kron_encode(code.kernel.matrix, values)
             enc.setflags(write=False)
             for i, row in zip(ids.tolist(), enc):
                 rate0[(i * size, size)] = row[None]
@@ -429,9 +439,13 @@ def _node_plan(code: PolarCode) -> _NodePlan:
         child_cls = cls[children]
         rate1 = np.flatnonzero(child_cls == _RATE1)
         mixed = np.flatnonzero(child_cls == _MIXED)
+        parents = []
+        for t in range(l):
+            needed = np.flatnonzero(child_cls[t::l] != _RATE0)
+            parents.append(slice(needed[0], needed[-1] + 1) if needed.size else None)
         levels.append(
             _ScreenLevel(
-                live=tuple((child_cls.reshape(-1, l) != _RATE0).any(axis=0).tolist()),
+                parents=tuple(parents),
                 rate1=rate1 if rate1.size else None,
                 mixed=None if mixed.size == children.size else mixed,
             )
@@ -629,31 +643,34 @@ def _monotone_forms(kernel: Kernel) -> list[tuple[bool, list[list[int]]]]:
     return forms
 
 
-def _screen_round(forms, cols, outs, scratch) -> None:
-    """One kernel round of the screen over every operation of a level.
+def _screen_round(forms, ops, out, parents, scratch) -> None:
+    """One kernel round of the screen over the operations of a level.
 
-    `cols[c]` holds the planes of output column c of every operation and
-    `outs[t]` receives the determination planes of input t, or is None when
-    input t is not needed; `scratch` has the shape of one column.
+    `ops` has shape (nodes, S/l, l, W): the l column planes of every kernel
+    operation of every node. `out[p, t]`, of shape (S/l, W), receives the
+    determination planes of input t of node p's operations, for the nodes p
+    in the slice `parents[t]` (none when it is None). `scratch` is a flat
+    buffer of at least nodes * S/l * W bytes.
     """
-    for (and_of_ors, groups), acc in zip(forms, outs):
-        if acc is None:
+    for t, ((and_of_ors, groups), rows) in enumerate(zip(forms, parents)):
+        if rows is None:
             continue
+        v, acc = ops[rows], out[rows, t]
+        tmp = scratch[: acc.size].reshape(acc.shape)
         if not groups:  # no set of outputs determines this input
             acc[...] = 0
         inner, outer = np.bitwise_and, np.bitwise_or
         if and_of_ors:
             inner, outer = outer, inner
-        # The first group is written straight into acc, later ones into
-        # scratch and combined in; a one-column group is that column
-        # (x & x = x | x = x).
-        for i, cols_i in enumerate(groups):
-            dst = scratch if i else acc
-            inner(cols[cols_i[0]], cols[cols_i[-1]], out=dst)
-            for c in cols_i[1:-1]:
-                inner(dst, cols[c], out=dst)
+        # The first group is written straight into acc, later ones into tmp
+        # and combined in; a one-column group is that column (x & x = x | x).
+        for i, cols in enumerate(groups):
+            dst = tmp if i else acc
+            inner(v[:, :, cols[0]], v[:, :, cols[-1]], out=dst)
+            for c in cols[1:-1]:
+                inner(dst, v[:, :, c], out=dst)
             if i:
-                outer(acc, scratch, out=acc)
+                outer(acc, tmp, out=acc)
 
 
 def _screen_levels(kernel: Kernel, levels, planes: np.ndarray):
@@ -677,12 +694,7 @@ def _screen_levels(kernel: Kernel, levels, planes: np.ndarray):
         span = nodes * size * width
         v = src[:span].reshape(nodes, size // l, l, width)
         out = dst[:span].reshape(nodes, l, size // l, width)
-        _screen_round(
-            forms,
-            [v[:, :, c] for c in range(l)],
-            [out[:, t] if live else None for t, live in enumerate(level.live)],
-            scratch[: span // l].reshape(nodes, size // l, width),
-        )
+        _screen_round(forms, v, out, level.parents, scratch)
         children = out.reshape(nodes * l, size // l, width)
         size //= l
         # mode="clip" lets take() write straight into `out=` (the indices
@@ -712,12 +724,12 @@ def _screen_positions(kernel: Kernel, depth: int, known: np.ndarray) -> np.ndarr
     The result depends only on the erasure pattern, not on transmitted
     values.
     """
-    keep_all = _ScreenLevel(live=(True,) * kernel.l, rate1=None, mixed=None)
+    keep_all = _ScreenLevel((slice(None),) * kernel.l, rate1=None, mixed=None)
     return _screen_levels(kernel, (keep_all,) * depth, known)[1]
 
 
 def _screen_known_planes(
-    kernel: Kernel, plan: "_NodePlan", known: np.ndarray
+    kernel: Kernel, plan: _NodePlan, known: np.ndarray
 ) -> np.ndarray:
     """Frame-error plane of a chunk, from its (N, W) knownness planes.
 

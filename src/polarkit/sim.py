@@ -31,12 +31,17 @@ Most trials decode without any ambiguity, and over the BEC the frame-error
 event depends only on the erasure pattern: the first ambiguous information
 decision of the decoder coincides with the first genie-aided ambiguity
 (before it, every decision is determined and correct). run_monte_carlo
-therefore screens the bitplanes in bulk with the bit-packed genie recursion;
-the screen alone fixes the frame-error count and the stop cut. The full
-decoder runs only on flagged frames: their trial ids and known rows are held
-back until at least _DECODE_FRAMES are pending, or the run ends, and then
-decoded in one batch. The tallies are exactly those of decoding every trial
-individually (verified in tests against the literal per-trial loop).
+therefore screens the bitplanes in bulk with the bit-packed genie recursion,
+pruned by the code's node plan (`codec._node_plan`, built once per code):
+subtrees whose inputs are all frozen are skipped, and a subtree whose inputs
+are all information bits is replaced by the OR of its unknown message
+planes, so the screen returns the frame-error plane of the chunk directly
+(`codec._screen_known_planes`). The screen alone fixes the frame-error count
+and the stop cut. The full decoder runs only on flagged frames: their trial
+ids and known rows are held back until at least _DECODE_FRAMES are pending,
+or the run ends, and then decoded in one batch. The tallies are exactly
+those of decoding every trial individually (verified in tests against the
+literal per-trial loop).
 """
 
 from __future__ import annotations

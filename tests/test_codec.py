@@ -609,4 +609,6 @@ def test_code_depth_beyond_spectrum_budget_refused_before_power():
 @pytest.mark.parametrize("eps", [float("nan"), -0.1, 1.5])
 def test_code_design_eps_outside_unit_interval_refused(eps):
     with pytest.raises(ValueError, match="design erasure rate"):
-        PolarCode(kernel=G2, depth=0, frozen_mask=[0], frozen_values=[0], design_eps=eps)
+        PolarCode(
+            kernel=G2, depth=0, frozen_mask=[0], frozen_values=[0], design_eps=eps
+        )

@@ -82,7 +82,9 @@ def test_pruned_screen_equals_full_screen_on_random_masks(data):
     assert np.array_equal(pruned_frames(code, known), reference_frames(code, known))
 
 
-@pytest.mark.parametrize("kernel,depth", [(G2, 3), (G3, 2), (G101, 2), (GE, 1)], ids=repr)
+@pytest.mark.parametrize(
+    "kernel,depth", [(G2, 3), (G3, 2), (G101, 2), (GE, 1)], ids=repr
+)
 def test_pruned_screen_on_every_erasure_pattern_matches_decoder(kernel, depth):
     # Every frozen mask for N <= 8, sampled ones for N = 9; each over all 2^N
     # erasure patterns. The decoder's verdict on the all-zero codeword is
