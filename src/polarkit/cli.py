@@ -219,15 +219,27 @@ def _resolve_k(ns, n: int) -> int:
     return k_info
 
 
-def _cmd_construct(ns) -> int:
+def _construct_code(ns, design_eps: float, eps_label: str) -> PolarCode:
+    """The code of --kernel, --depth and --rate (or --k) at `design_eps`."""
     kernel = parse_kernel(ns.kernel)
     if not kernel.invertible:
         raise UsageError("codes require an invertible kernel")
     if ns.depth < 0:
         raise UsageError("--depth must be >= 0")
-    _check_eps(ns.eps)
+    _check_eps(design_eps, eps_label)
+    # Checked before l**depth is formed, which would not finish for a huge
+    # depth.
+    if bec._exceeds_budget(kernel.l, ns.depth):
+        raise BudgetExceededError(
+            f"code length {kernel.l}^depth exceeds the spectrum budget of "
+            f"{bec._MAX_SPECTRUM_SIZE}"
+        )
     n = kernel.l**ns.depth
-    code = PolarCode.construct(kernel, ns.depth, _resolve_k(ns, n), ns.eps)
+    return PolarCode.construct(kernel, ns.depth, _resolve_k(ns, n), design_eps)
+
+
+def _cmd_construct(ns) -> int:
+    code = _construct_code(ns, ns.eps, "--eps")
     atomic_write_text(_out_path(ns.out), json.dumps(code.to_json_dict()) + "\n")
     print(f"construct {code.code_id()} N={code.N} -> {ns.out}")
     return 0
@@ -257,13 +269,8 @@ def _cmd_simulate(ns) -> int:
             # of these three.
             raise UsageError(f"bad code descriptor: {exc}") from None
     elif ns.kernel and ns.depth is not None:
-        kernel = parse_kernel(ns.kernel)
-        if not kernel.invertible:
-            raise UsageError("codes require an invertible kernel")
-        _check_eps(ns.design_eps, "--design-eps")
-        n = kernel.l**ns.depth
         ns.info_k = None
-        code = PolarCode.construct(kernel, ns.depth, _resolve_k(ns, n), ns.design_eps)
+        code = _construct_code(ns, ns.design_eps, "--design-eps")
     else:
         raise UsageError("provide --code, or --kernel with --depth and --rate")
     try:

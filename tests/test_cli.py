@@ -275,3 +275,22 @@ def test_code_descriptor_out_of_range_field_exits_2(
                 "--max-trials", "10"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad code descriptor") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--kernel", "10,11"],
+        ["bound", "--kernel", "10,11", "--rates", "0.5"],
+        ["construct", "--kernel", "10,11", "--rate", "0.5", "--out", "c.json"],
+        ["simulate", "--kernel", "10,11", "--rate", "0.5", "--eps", "0.5"],
+    ],
+    ids=["analyze", "bound", "construct", "simulate"],
+)
+def test_huge_depth_refused_with_exit_3(tmp_path, monkeypatch, capsys, argv):
+    # 2^(10^30) must never be formed: the depth is checked against the
+    # spectrum budget first.
+    monkeypatch.setenv("POLARKIT_OUT_DIR", str(tmp_path))
+    assert run(argv + ["--depth", str(10**30)]) == 3
+    assert "exceeds the" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

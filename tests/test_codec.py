@@ -612,3 +612,8 @@ def test_code_design_eps_outside_unit_interval_refused(eps):
         PolarCode(
             kernel=G2, depth=0, frozen_mask=[0], frozen_values=[0], design_eps=eps
         )
+
+
+def test_genie_flags_of_empty_batch():
+    flags = genie_erasure_flags(G2, 3, np.zeros((0, 8), dtype=bool))
+    assert flags.shape == (0, 8)
