@@ -208,13 +208,18 @@ def batch_curves(counts: np.ndarray, eps0: float, depth: int) -> np.ndarray:
     return curves
 
 
-def _exceeds_budget(l: int, depth: int, max_size: int = _MAX_SPECTRUM_SIZE) -> bool:
-    """Whether l^depth > max_size, without forming l^depth for a huge depth.
+def _check_spectrum_budget(
+    l: int, depth: int, max_size: int = _MAX_SPECTRUM_SIZE
+) -> None:
+    """Refuse l^depth > max_size without forming l^depth for a huge depth.
 
     For l >= 2, l^depth >= 2^depth, so any depth above max_size's bit length
     exceeds the budget whatever l is.
     """
-    return l ** min(depth, max_size.bit_length()) > max_size
+    if l ** min(depth, max_size.bit_length()) > max_size:
+        raise BudgetExceededError(
+            f"size {l}^{depth} exceeds the spectrum budget of {max_size}"
+        )
 
 
 def evolve_spectrum(
@@ -229,10 +234,7 @@ def evolve_spectrum(
         raise ValueError(f"design erasure rate must be in [0, 1], got {eps0}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if _exceeds_budget(k.l, depth, max_size):
-        raise BudgetExceededError(
-            f"spectrum of size {k.l}^{depth} exceeds the budget of {max_size}"
-        )
+    _check_spectrum_budget(k.l, depth, max_size)
     z = np.array([[eps0]])
     for z in _spectrum_levels(batch_profiles([k.row_bits()], k.l), eps0, depth):
         pass

@@ -229,11 +229,7 @@ def _construct_code(ns, design_eps: float, eps_label: str) -> PolarCode:
     _check_eps(design_eps, eps_label)
     # Checked before l**depth is formed, which would not finish for a huge
     # depth.
-    if bec._exceeds_budget(kernel.l, ns.depth):
-        raise BudgetExceededError(
-            f"code length {kernel.l}^depth exceeds the spectrum budget of "
-            f"{bec._MAX_SPECTRUM_SIZE}"
-        )
+    bec._check_spectrum_budget(kernel.l, ns.depth)
     n = kernel.l**ns.depth
     return PolarCode.construct(kernel, ns.depth, _resolve_k(ns, n), design_eps)
 

@@ -45,17 +45,13 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gf2
 from .errors import BudgetExceededError, DecodingIntegrityError
-from .bec import (
-    _MAX_SPECTRUM_SIZE,
-    _exceeds_budget,
-    evolve_spectrum,
-    select_information_set,
-)
+from .bec import _check_spectrum_budget, evolve_spectrum, select_information_set
 from .kernels import Kernel, digit_reversal_permutation
 
 
@@ -114,11 +110,7 @@ class PolarCode:
             raise ValueError("polar codes require an invertible kernel")
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
-        if _exceeds_budget(self.kernel.l, self.depth):
-            raise BudgetExceededError(
-                f"code length {self.kernel.l}^depth exceeds the spectrum budget "
-                f"of {_MAX_SPECTRUM_SIZE}"
-            )
+        _check_spectrum_budget(self.kernel.l, self.depth)
         if not 0.0 <= self.design_eps <= 1.0:
             raise ValueError(
                 f"design erasure rate must be in [0, 1], got {self.design_eps}"
@@ -376,8 +368,7 @@ def kernel_step_decide(k: Kernel, pos: int, prior, observed) -> Symbol:
 _RATE0, _RATE1, _MIXED = 0, 1, 2
 
 
-@dataclass(frozen=True, eq=False)
-class _ScreenLevel:
+class _ScreenLevel(NamedTuple):
     """One level of the screen, over the nodes kept by the level above.
 
     Child t of kept node p has index p*l + t. `parents[t]` is the slice of
@@ -392,8 +383,7 @@ class _ScreenLevel:
     mixed: np.ndarray | None
 
 
-@dataclass(frozen=True, eq=False)
-class _NodePlan:
+class _NodePlan(NamedTuple):
     """Node classes of a code's decoding tree, derived once per code.
 
     Node i at level k covers inputs i*S..(i+1)*S-1, S = N / l^k. `root` is

@@ -292,5 +292,5 @@ def test_huge_depth_refused_with_exit_3(tmp_path, monkeypatch, capsys, argv):
     # spectrum budget first.
     monkeypatch.setenv("POLARKIT_OUT_DIR", str(tmp_path))
     assert run(argv + ["--depth", str(10**30)]) == 3
-    assert "exceeds the" in capsys.readouterr().err
+    assert "exceeds the spectrum budget" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
