@@ -22,8 +22,8 @@ from .errors import BudgetExceededError, KernelFormatError
 # hooks `polarkit.cli.enumerate_kernels`.
 from .kernels import (  # noqa: F401
     batch_distances,
+    batch_exponents,
     enumerate_kernels,
-    exponent_from_distances,
     family_rows,
     parse_kernel,
     row_descriptors,
@@ -138,7 +138,9 @@ def _cmd_analyze(ns) -> int:
 def _cmd_survey(ns) -> int:
     if ns.size < 2:
         raise UsageError("--size must be >= 2")
-    _check_eps(ns.eps)
+    # A survey normalises by eps^2, so eps = 0 has no distance curves.
+    if not 0.0 < ns.eps <= 1.0:
+        raise UsageError(f"--eps must be in (0, 1], got {ns.eps}")
     depth = ns.depth if ns.depth is not None else (7 if ns.size == 3 else 5)
     if depth < 1:
         raise UsageError("--depth must be >= 1")
@@ -170,14 +172,14 @@ def _cmd_exponent(ns) -> int:
     # Every batch is computed before the first line is printed, so a refused
     # kernel leaves no partial output.
     tables = [
-        (names, batch_distances(rows, l).tolist(), l) for names, rows, l in batches
+        (names, batch_distances(rows, l).tolist(), batch_exponents(rows, l).tolist())
+        for names, rows, l in batches
     ]
-    for names, dists, l in tables:
-        for desc, d in zip(names, dists):
+    for names, dists, exponents in tables:
+        for desc, d, exponent in zip(names, dists, exponents):
             if 0 in d:
                 print(f"{desc}  singular")
                 continue
-            exponent = exponent_from_distances(d, l)
             print(f"{desc}  d=({','.join(map(str, d))})  exponent={exponent:.12g}")
     return 0
 

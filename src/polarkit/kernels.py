@@ -169,23 +169,20 @@ def partial_distances(k: Kernel) -> PartialDistances:
 
     d_i is the minimum Hamming distance from row i to the GF(2) span of rows
     i+1..l; for the last row the span is {0}, so d_l is the row weight. The
-    exponent is (1/l) * sum_i log_l(d_i). A batch of one of `batch_distances`.
+    exponent is (1/l) * sum_i log_l(d_i). A batch of one of `batch_distances`
+    and `batch_exponents`.
     """
     _require_invertible(k)
-    d = tuple(batch_distances([k.row_bits()], k.l)[0].tolist())
-    return PartialDistances(d=d, exponent=exponent_from_distances(d, k.l))
-
-
-def exponent_from_distances(d: Sequence[int], l: int) -> float:
-    """Rate exponent (1/l) * sum_i log_l(d_i) of nonzero partial distances."""
-    return sum(math.log(x, l) for x in d) / l
+    rows = [k.row_bits()]
+    d = tuple(batch_distances(rows, k.l)[0].tolist())
+    return PartialDistances(d=d, exponent=float(batch_exponents(rows, k.l)[0]))
 
 
 def rate_exponent_table(family: Sequence[Kernel]) -> list[tuple[Kernel, float]]:
     """Rate exponent for each kernel, preserving the input order.
 
-    The kernels must be invertible and of one size; their partial distances
-    come from one `batch_distances` call.
+    The kernels must be invertible and of one size; their exponents come from
+    one `batch_exponents` call.
     """
     kernels = list(family)
     if not kernels:
@@ -195,8 +192,8 @@ def rate_exponent_table(family: Sequence[Kernel]) -> list[tuple[Kernel, float]]:
         raise ValueError("kernel family mixes sizes")
     for k in kernels:
         _require_invertible(k)
-    dists = batch_distances([k.row_bits() for k in kernels], l).tolist()
-    return [(k, exponent_from_distances(d, l)) for k, d in zip(kernels, dists)]
+    exps = batch_exponents([k.row_bits() for k in kernels], l).tolist()
+    return list(zip(kernels, exps))
 
 
 def family_rows(l: int, family: str = "all") -> np.ndarray:

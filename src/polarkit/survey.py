@@ -3,11 +3,15 @@
 Every kernel of a family is scored by its normalised polarisation distance
 curve over increasing recursion depth; kernels with identical curves (within
 1e-12 componentwise) land in one group. The survey pipeline works on arrays
-of row bits: it computes the one-step count tables of all kernels in bulk
-with vectorised numpy, evolves one curve per distinct table, and builds a
-Kernel object only for each group's representative. The count tables, curves
-and exponents come from the batch routines of `bec` and `kernels`, the same
-ones behind the single-kernel calls. Group records are columnar: each holds
+of row bits. Count tables and partial distances do not change when a later
+row is added to an earlier one, so each kernel is first reduced to its
+row-canonical form (row i taken modulo the span of the rows below it), and
+the count tables and exponents are computed once per form (2,266 of the
+65,536 4x4 kernels) and broadcast back. One curve is evolved per distinct
+count table, the distinct tables are grouped by curve, and a Kernel object
+is built only for each group's representative. The count tables, curves and
+exponents come from the batch routines of `bec` and `kernels`, the same ones
+behind the single-kernel calls. Group records are columnar: each holds
 its members' row bits, exponents and family indices as arrays, the CSV is
 written from those arrays, and per-member `SurveyMember` objects are built
 only when `GroupRecord.members` is read.
@@ -22,8 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bec import one_step_profile
-from .errors import BudgetExceededError
+from .bec import _check_spectrum_budget, one_step_profile
 from .ioutil import atomic_write_text
 from .kernels import Kernel, family_rows, row_descriptors
 
@@ -135,16 +138,18 @@ def invertible_summary(records: Sequence[GroupRecord]) -> FamilySummary:
     )
 
 
-def signature(k: Kernel, eps0: float, depth: int) -> Signature:
-    """Signature of one kernel: a batch of one of the survey's curves."""
+def _check_curve_args(eps0: float, depth: int, min_depth: int) -> None:
+    """Refuse a design rate outside (0, 1], NaN included, or a short depth."""
     if not 0.0 < eps0 <= 1.0:
         raise ValueError(f"design erasure rate must be in (0, 1], got {eps0}")
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if k.l**depth > _MAX_SPECTRUM:
-        raise BudgetExceededError(
-            f"signature depth {depth} exceeds the spectrum budget for l={k.l}"
-        )
+    if depth < min_depth:
+        raise ValueError(f"depth must be >= {min_depth}, got {depth}")
+
+
+def signature(k: Kernel, eps0: float, depth: int) -> Signature:
+    """Signature of one kernel: a batch of one of the survey's curves."""
+    _check_curve_args(eps0, depth, 0)
+    _check_spectrum_budget(k.l, depth, _MAX_SPECTRUM)
     profile = one_step_profile(k)
     curve = _batch_curves(np.array([profile.counts]), eps0, depth)[0]
     return Signature(
@@ -159,16 +164,59 @@ def _row_bits(kernels: Sequence[Kernel]) -> np.ndarray:
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`np.unique(a, axis=0, return_inverse=True)` for a 2-D integer array.
 
-    A lexsort over the columns gives the same unique rows in the same order
-    and is about 20x faster than np.unique's sort of rows as opaque bytes.
+    Each column is offset by its minimum and takes as many bits as its largest
+    offset needs; the columns are packed in order, as many as fit, into uint64
+    words, the first column of a word in its high bits. A lexsort over the
+    words, each cast to the narrowest dtype that holds it, then gives the same
+    unique rows in the same order, much faster than np.unique's sort of rows
+    as opaque bytes. A column of up to 64 bits fits one word, so any integer
+    dtype and row length is accepted.
     """
-    order = np.lexsort(a.T[::-1])
-    ordered = a[order]
-    new = np.ones(a.shape[0], dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    words = []
+    word, used = np.zeros(a.shape[0], dtype=np.uint64), 0
+    for column in a.T:
+        lo = column.min()
+        width = (int(column.max()) - int(lo)).bit_length()
+        if used + width > 64:
+            words.append((word, used))
+            word, used = np.zeros_like(word), 0
+        # uint64 arithmetic wraps, so the offset is exact for negative entries.
+        offset = column.astype(np.uint64) - lo.astype(np.uint64)
+        word = (word << np.uint64(width)) | offset
+        used += width
+    words.append((word, used))
+    # numpy sorts keys of up to 16 bits by radix.
+    keys = [w.astype(np.min_scalar_type((1 << n) - 1)) for w, n in words]
+    order = np.lexsort(keys[::-1])
+    same = np.ones(a.shape[0] - 1, dtype=bool)  # row equals the one before
+    for key in keys:
+        ordered = key[order]
+        same &= ordered[1:] == ordered[:-1]
+    new = np.concatenate(([True], ~same))
     inverse = np.empty(a.shape[0], dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    return ordered[new], inverse
+    return a[order[new]], inverse
+
+
+def _canonical_rows(rows: np.ndarray, l: int) -> np.ndarray:
+    """Row-canonical form of every kernel in an (M, l) array of row bits.
+
+    Row i becomes the least member of its coset modulo the span of rows
+    i+1..l-1. Two kernels share a form iff one turns into the other by adding
+    later rows to earlier ones. The rows are reduced bottom-up, and the
+    reduced rows below row i serve as its echelon basis. As in
+    `bec._undetermined`, min(v, v ^ b) clears b's leading bit from v when it
+    is set. Each reduced row has the leading bits of the rows reduced before
+    it cleared, so reducing in that order clears every leading bit of the
+    span, and the one coset member with those bits clear is the least.
+    """
+    canon = np.empty_like(rows)
+    for i in range(l - 1, -1, -1):
+        v = rows[:, i].copy()
+        for j in range(l - 1, i, -1):
+            np.minimum(v, v ^ canon[:, j], out=v)
+        canon[:, i] = v
+    return canon
 
 
 def group_survey(family: Iterable[Kernel], eps0: float, depth: int) -> list[GroupRecord]:
@@ -176,8 +224,10 @@ def group_survey(family: Iterable[Kernel], eps0: float, depth: int) -> list[Grou
 
     Groups are sorted by curve value at the final depth (ties by the full
     curve), ids starting at 1. A group is polarising iff its curve at the
-    final depth sits below its depth-1 value by more than 1e-9.
+    final depth sits below its depth-1 value by more than 1e-9. `eps0` must
+    lie in (0, 1] and `depth` be at least 1.
     """
+    _check_curve_args(eps0, depth, 1)
     kernels = list(family)
     if not kernels:
         raise ValueError("kernel family is empty")
@@ -190,39 +240,49 @@ def group_survey(family: Iterable[Kernel], eps0: float, depth: int) -> list[Grou
 def survey_family(l: int, family: str, eps0: float, depth: int) -> list[GroupRecord]:
     """`group_survey` over a whole `family_rows` family, without building a
     Kernel per member."""
+    _check_curve_args(eps0, depth, 1)
     return _group_rows(family_rows(l, family), l, eps0, depth)
 
 
 def _group_rows(rows: np.ndarray, l: int, eps0: float, depth: int) -> list[GroupRecord]:
     """Survey records for kernels given as an (M, l) array of row bits.
 
-    The distance curve depends only on the one-step count table, so curves
-    are evolved once per distinct table and broadcast back to the kernels.
+    Count tables and partial distances do not change when a later row is
+    added to an earlier one (Korada, Sasoglu and Urbanke, IEEE Trans. IT
+    2010), so they are computed once per row-canonical form (2,266 of the
+    65,536 4x4 kernels), on the form's first kernel, and broadcast back. The
+    distance curve depends only on the count table, so curves are evolved and
+    grouped once per distinct table (230 on 4x4). Identical curves are
+    adjacent in the curve order, so grouping the distinct tables finds the
+    same CURVE_TOL breaks as grouping every kernel would; a group's curve is
+    that of its lowest-index member.
     """
-    if l**depth > _MAX_SPECTRUM:
-        raise BudgetExceededError(
-            f"survey depth {depth} exceeds the spectrum budget for l={l}"
-        )
+    _check_spectrum_budget(l, depth, _MAX_SPECTRUM)
     m_count = rows.shape[0]
-    counts = _batch_profiles(rows, l)
-    tables, inverse = _unique_rows(counts.reshape(m_count, -1))
-    curves = _batch_curves(tables.reshape(-1, l, l + 1), eps0, depth)[inverse]
-    exponents = _batch_exponents(rows, l)
+    _, form_of = _unique_rows(_canonical_rows(rows, l))
+    first = np.full(form_of.max() + 1, m_count)
+    np.minimum.at(first, form_of, np.arange(m_count))
+    reps = rows[first]
+    counts = _batch_profiles(reps, l)
+    tables, table_of_form = _unique_rows(counts.reshape(reps.shape[0], -1))
+    curves = _batch_curves(tables.reshape(-1, l, l + 1), eps0, depth)
+    exponents = _batch_exponents(reps, l)[form_of]
 
-    order = np.lexsort(tuple(curves[:, j] for j in range(depth - 1, -1, -1)))
-    ordered = curves[order]
-    breaks = np.zeros(m_count, dtype=bool)
-    breaks[0] = True
-    if m_count > 1:
-        breaks[1:] = (np.abs(np.diff(ordered, axis=0)) > CURVE_TOL).any(axis=1)
-    starts = np.flatnonzero(breaks)
-    ends = np.append(starts[1:], m_count)
+    order = np.lexsort(curves.T[::-1])
+    breaks = np.ones(order.size, dtype=bool)
+    breaks[1:] = (np.abs(np.diff(curves[order], axis=0)) > CURVE_TOL).any(axis=1)
+    group_count = int(np.count_nonzero(breaks))
+    # The smallest label dtype keeps the stable argsort a radix sort.
+    group_of_table = np.empty(order.size, dtype=np.min_scalar_type(group_count))
+    group_of_table[order] = np.cumsum(breaks) - 1
+    labels = group_of_table[table_of_form[form_of]]
+    by_group = np.argsort(labels, kind="stable")  # members stay ascending
+    ends = np.cumsum(np.bincount(labels, minlength=group_count))
 
     raw_groups = []
-    for s, e in zip(starts, ends):
-        members = np.sort(order[s:e])
-        curve = tuple(float(v) for v in curves[members[0]])
-        raw_groups.append((curve, members))
+    for members in np.split(by_group, ends[:-1]):
+        table = table_of_form[form_of[members[0]]]
+        raw_groups.append((tuple(curves[table].tolist()), members))
     raw_groups.sort(key=lambda g: (g[0][-1], g[0]))
 
     records = []

@@ -294,3 +294,22 @@ def test_huge_depth_refused_with_exit_3(tmp_path, monkeypatch, capsys, argv):
     assert run(argv + ["--depth", str(10**30)]) == 3
     assert "exceeds the spectrum budget" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("eps", ["0", "nan", "1.5", "-0.25"])
+def test_survey_design_rate_outside_unit_interval_exits_2(tmp_path, capsys, eps):
+    out = tmp_path / "survey.csv"
+    assert run(["survey", "--size", "3", "--eps", eps, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--eps must be in (0, 1]" in captured.err
+    assert not out.exists()
+
+
+def test_analyze_at_eps_zero_still_reports_nan_distance(capsys):
+    assert run(["analyze", "--kernel", "10,11", "--eps", "0", "--depth", "2"]) == 0
+    assert "d_p=nan" in capsys.readouterr().out
+
+
+def test_survey_huge_depth_refused_with_exit_3(capsys):
+    assert run(["survey", "--size", "3", "--depth", str(10**11)]) == 3
+    assert "spectrum budget" in capsys.readouterr().err

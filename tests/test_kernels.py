@@ -17,7 +17,7 @@ from polarkit import (
     reference_generator,
 )
 from polarkit import gf2
-from polarkit.kernels import batch_distances
+from polarkit.kernels import batch_distances, batch_exponents
 
 G2 = parse_kernel("10,11")
 
@@ -266,3 +266,15 @@ def test_invertible_flag_beyond_64_columns():
     dup = eye.copy()
     dup[69] = dup[0] ^ dup[1]
     assert not Kernel(dup).invertible
+
+
+@pytest.mark.parametrize("l,family", [(3, "all"), (5, "lower_triangular_unit_diagonal")])
+def test_every_exponent_api_uses_the_survey_formula(l, family):
+    # The survey's batch_exponents is the one formula: the scalar and table
+    # calls return its values bit for bit.
+    rows = family_rows(l, family)
+    exps = batch_exponents(rows, l)
+    good = ~np.isnan(exps)
+    kernels = [Kernel.from_row_bits(r) for r in rows[good]]
+    assert [e for _, e in rate_exponent_table(kernels)] == exps[good].tolist()
+    assert [partial_distances(k).exponent for k in kernels] == exps[good].tolist()

@@ -16,8 +16,10 @@ from polarkit import (
     signature,
     survey_family,
 )
-from polarkit.kernels import row_descriptors
-from polarkit.survey import _unique_rows, survey_csv_text
+from polarkit import BudgetExceededError
+from polarkit.bec import batch_profiles
+from polarkit.kernels import batch_exponents, row_descriptors
+from polarkit.survey import _canonical_rows, _unique_rows, survey_csv_text
 
 G2 = parse_kernel("10,11")
 
@@ -246,3 +248,175 @@ def test_invertible_count_matches_members():
     for rec in records:
         assert len(rec.members) == rec.member_count
         assert rec.invertible_count == sum(m.exponent is not None for m in rec.members)
+
+
+def _assert_unique_rows_like_numpy(a):
+    want, want_inverse = np.unique(a, axis=0, return_inverse=True)
+    got, got_inverse = _unique_rows(a)
+    assert got.dtype == a.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(got_inverse, want_inverse.reshape(-1))
+
+
+def test_unique_rows_wide_and_negative_columns():
+    rng = np.random.default_rng(6)
+    info = np.iinfo(np.int64)
+    picks = np.array([info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max])
+    _assert_unique_rows_like_numpy(picks[rng.integers(0, 7, (400, 3))])
+    # one 64-bit column between narrow ones, and a 33-bit pair that splits words
+    a = rng.integers(0, 4, (300, 5)).astype(np.uint64)
+    a[:, 1] = np.array([0, 1 << 63, (1 << 64) - 1], np.uint64)[rng.integers(0, 3, 300)]
+    a[:, 3] = rng.integers(0, 3, 300).astype(np.uint64) << np.uint64(32)
+    _assert_unique_rows_like_numpy(a)
+
+
+def test_unique_rows_many_columns():
+    rng = np.random.default_rng(7)
+    # l = 20 count tables are 420 columns of up to 18 bits: many packed words
+    base = rng.integers(0, 184_757, (40, 420))
+    _assert_unique_rows_like_numpy(base[rng.integers(0, 40, 200)])
+    _assert_unique_rows_like_numpy(rng.integers(0, 2, (300, 200)))
+    # l = 20 row bits, and arrays whose columns are all constant
+    rows = rng.integers(0, 1 << 20, (50, 20), dtype=np.uint32)
+    _assert_unique_rows_like_numpy(rows[rng.integers(0, 50, 120)])
+    _assert_unique_rows_like_numpy(np.full((9, 6), 5, dtype=np.uint32))
+    _assert_unique_rows_like_numpy(np.array([[3, 1]]))
+
+
+def _coset_minimum_rows(rows, l):
+    """Each row's least coset member modulo the span of the rows below it,
+    by listing the span."""
+    out = []
+    for kernel in rows.tolist():
+        canon = []
+        for i in range(l):
+            span = {0}
+            for r in kernel[i + 1 :]:
+                span |= {v ^ r for v in span}
+            canon.append(min(kernel[i] ^ v for v in span))
+        out.append(canon)
+    return np.array(out, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_canonical_rows_are_coset_minima(l):
+    rows = family_rows(l, "all")
+    assert np.array_equal(_canonical_rows(rows, l), _coset_minimum_rows(rows, l))
+
+
+def test_canonical_rows_of_sampled_larger_kernels_are_coset_minima():
+    rng = np.random.default_rng(8)
+    for l in (5, 8, 11):
+        rows = rng.integers(0, 1 << l, (40, l), dtype=np.uint32)
+        rows[:5, 0] = rows[:5, 1] ^ rows[:5, 2]  # a row in the span below it
+        assert np.array_equal(_canonical_rows(rows, l), _coset_minimum_rows(rows, l))
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_canonical_rows_idempotent_and_row_addition_invariant(l):
+    rows = family_rows(l, "all")
+    canon = _canonical_rows(rows, l)
+    assert np.array_equal(_canonical_rows(canon, l), canon)
+    for i in range(l):
+        for j in range(i + 1, l):
+            added = rows.copy()
+            added[:, i] ^= added[:, j]
+            assert np.array_equal(_canonical_rows(added, l), canon), (i, j)
+
+
+@given(
+    st.integers(2, 20).flatmap(
+        lambda l: st.tuples(
+            st.just(l),
+            st.lists(st.integers(0, (1 << l) - 1), min_size=l, max_size=l),
+            st.lists(st.tuples(st.integers(0, l - 1), st.integers(0, l - 1)),
+                     max_size=8),
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_canonical_rows_invariant_under_random_row_additions(case):
+    l, kernel, additions = case
+    rows = np.array([kernel], dtype=np.uint32)
+    canon = _canonical_rows(rows, l)
+    assert np.array_equal(_canonical_rows(canon, l), canon)
+    for a, b in additions:
+        i, j = min(a, b), max(a, b)
+        if i < j:
+            rows[0, i] ^= rows[0, j]
+    assert np.array_equal(_canonical_rows(rows, l), canon)
+
+
+@pytest.mark.parametrize("l,forms,invertible", [(3, 106, 21), (4, 2_266, 315)])
+def test_canonical_form_counts_and_orbit_sizes(l, forms, invertible):
+    rows = family_rows(l, "all")
+    canon, form_of = _unique_rows(_canonical_rows(rows, l))
+    assert canon.shape[0] == forms
+    assert sum(Kernel.from_row_bits(r).invertible for r in canon) == invertible
+    # A form's orbit has 2^(sum over rows i of the rank of rows i+1..l-1)
+    # members; a canonical row is zero iff it lies in the span below it.
+    nonzero = (canon != 0).astype(np.int64)
+    ranks_below = np.cumsum(nonzero[:, ::-1], axis=1)[:, ::-1] - nonzero
+    assert np.array_equal(np.bincount(form_of), 1 << ranks_below.sum(axis=1))
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_count_tables_and_exponents_broadcast_from_canonical_forms(l):
+    rows = family_rows(l, "all")
+    forms, form_of = _unique_rows(_canonical_rows(rows, l))
+    assert np.array_equal(batch_profiles(rows, l), batch_profiles(forms, l)[form_of])
+    np.testing.assert_array_equal(
+        batch_exponents(rows, l), batch_exponents(forms, l)[form_of]
+    )
+
+
+def test_group_survey_of_shuffled_kernels_with_repeats():
+    rng = np.random.default_rng(14)
+    picks = rng.integers(0, 1 << 16, 2_000)
+    picks = np.concatenate([picks, picks[:400], picks[:50]])
+    rng.shuffle(picks)
+    rows = family_rows(4, "all")
+    kernels = [Kernel.from_row_bits(rows[i]) for i in picks]
+    records = group_survey(kernels, 0.5, 5)
+    assert survey_csv_text(records) == _literal_survey_csv(kernels, records)
+    # Every member sits in the group of its kernel in the whole-family survey.
+    full_curve = {}
+    for rec in survey_family(4, "all", 0.5, 5):
+        full_curve.update(dict.fromkeys(rec.member_orders.tolist(), rec.distance_curve))
+    hit = set()
+    for rec in records:
+        for i in rec.member_orders.tolist():
+            curve = full_curve[int(picks[i])]
+            assert np.allclose(curve, rec.distance_curve, rtol=0, atol=1e-12)
+            hit.add(curve)
+    assert len(records) == len(hit)
+
+
+@pytest.mark.parametrize("eps0", [0.0, -0.1, 1.5, float("nan")])
+def test_surveys_refuse_design_rate_outside_unit_interval(eps0):
+    def family():
+        raise AssertionError("the family was read before the check")
+        yield G2
+
+    with pytest.raises(ValueError, match="design erasure rate"):
+        group_survey(family(), eps0, 3)
+    # 5x5 "all" is over budget, so a ValueError shows the check came first.
+    with pytest.raises(ValueError, match="design erasure rate"):
+        survey_family(5, "all", eps0, 3)
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_surveys_refuse_depth_below_one(depth):
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        group_survey(iter(()), 0.5, depth)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        survey_family(5, "all", 0.5, depth)
+
+
+def test_surveys_refuse_huge_depth_before_forming_the_power():
+    with pytest.raises(BudgetExceededError, match="spectrum budget"):
+        survey_family(3, "all", 0.5, 10**11)
+    with pytest.raises(BudgetExceededError, match="spectrum budget"):
+        group_survey([G2], 0.5, 10**11)
+    with pytest.raises(BudgetExceededError, match="spectrum budget"):
+        signature(G2, 0.5, 10**11)
