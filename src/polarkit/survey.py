@@ -277,7 +277,7 @@ def _group_rows(rows: np.ndarray, l: int, eps0: float, depth: int) -> list[Group
     group_of_table[order] = np.cumsum(breaks) - 1
     labels = group_of_table[table_of_form[form_of]]
     by_group = np.argsort(labels, kind="stable")  # members stay ascending
-    ends = np.cumsum(np.bincount(labels, minlength=group_count))
+    ends = np.cumsum(np.bincount(labels))  # every group has a member
 
     raw_groups = []
     for members in np.split(by_group, ends[:-1]):

@@ -420,3 +420,21 @@ def test_surveys_refuse_huge_depth_before_forming_the_power():
         group_survey([G2], 0.5, 10**11)
     with pytest.raises(BudgetExceededError, match="spectrum budget"):
         signature(G2, 0.5, 10**11)
+
+
+def test_group_survey_of_10x10_kernels_matches_signatures():
+    # 10x10 count tables have 110 columns, more than one packed key word.
+    rng = np.random.default_rng(10)
+    rows = rng.integers(0, 1 << 10, (6, 10), dtype=np.uint32)
+    rows[5] = rows[4]
+    rows[5, 0] ^= rows[5, 3]  # same row-canonical form as kernel 4
+    kernels = [Kernel.from_row_bits(r) for r in rows[[0, 1, 2, 3, 4, 5, 0, 2]]]
+    records = group_survey(kernels, 0.5, 2)
+    assert survey_csv_text(records) == _literal_survey_csv(kernels, records)
+    for rec in records:
+        for i in rec.member_orders.tolist():
+            curve = signature(kernels[i], 0.5, 2).distance_curve
+            assert np.allclose(curve, rec.distance_curve, rtol=0, atol=1e-12)
+    group_of = {i: rec.group_id for rec in records for i in rec.member_orders.tolist()}
+    assert group_of[0] == group_of[6] and group_of[2] == group_of[7]
+    assert group_of[4] == group_of[5]
