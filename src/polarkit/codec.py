@@ -16,7 +16,17 @@ already-decided part of every column. Over the BEC every message is a known
 0, a known 1 or an erasure. A node whose inputs are all frozen is not
 descended into: its re-encoding is that of the frozen values (Alamdar-Yazdi
 and Kschischang, IEEE Comm. Letters 2011), computed once per code in the
-code's node plan.
+code's node plan. A node whose inputs are all information bits is a leaf
+when every frame of the batch either knows all of its messages or is
+poisoned (see below): the decisions are the messages times the inverse
+kernel power, and the re-encoding is the messages themselves (the rate-1
+node of Sarkis et al., "Fast polar decoders", IEEE JSAC 2014). Otherwise the
+whole batch descends; descending only the frames with an erased message
+measured slower.
+
+A node packs the l message columns of each kernel operation into words in
+the narrowest dtype that holds l + 1 bits (uint8 for l < 8, uint16 up to
+l = 12), and each child message is one gather from two per-kernel tables.
 
 The genie screen runs the same recursion on bit-packed knownness planes of
 many trials at once. It has two entry points over one per-level routine:
@@ -234,7 +244,9 @@ def _kron_encode(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     the column index in turn.
     """
     l = g.shape[0]
-    x = u.astype(np.uint8)
+    # A C-ordered copy: the reshapes below must be views, or the XORs would
+    # land in copies.
+    x = u.astype(np.uint8, order="C")
     if u.shape[1] == 1:
         return x
     # Output column c of each block is the XOR of the input rows r with
@@ -313,15 +325,6 @@ def _round_tables(kernel: Kernel):
     return det, lam
 
 
-_PARITY8 = np.array([bin(x).count("1") & 1 for x in range(256)], dtype=np.uint8)
-
-
-def _parity(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> np.uint32(16))
-    x = x ^ (x >> np.uint32(8))
-    return _PARITY8[x & np.uint32(0xFF)]
-
-
 def kernel_step_decide(k: Kernel, pos: int, prior, observed) -> Symbol:
     """Decide input `pos` of one kernel round from l observed symbols.
 
@@ -390,12 +393,16 @@ class _NodePlan(NamedTuple):
     the class of the whole code and `levels` drive the pruned screen.
     `rate0` maps (first input, S) of each rate-0 node whose parent is not
     rate-0, the ones the decoder reaches, to the (1, S) re-encoding of its
-    frozen values.
+    frozen values. `rate1` holds (first input, S) of every rate-1 node with
+    S > 1, and `inverse` is the inverse kernel matrix, with which the decoder
+    inverts such a node's messages.
     """
 
     root: int
     levels: tuple[_ScreenLevel, ...]
     rate0: dict[tuple[int, int], np.ndarray]
+    rate1: frozenset[tuple[int, int]]
+    inverse: np.ndarray
 
 
 @functools.lru_cache(maxsize=32)
@@ -409,6 +416,11 @@ def _node_plan(code: PolarCode) -> _NodePlan:
             np.where(frozen == size, _RATE0, np.where(frozen == 0, _RATE1, _MIXED))
         )
     rate0 = {}
+    rate1_nodes = frozenset(
+        (i * size, size)
+        for size, cls in zip(sizes[:-1], classes)
+        for i in np.flatnonzero(cls == _RATE1).tolist()
+    )
     for k, (size, cls) in enumerate(zip(sizes, classes)):
         reached = cls == _RATE0
         if k:
@@ -441,61 +453,106 @@ def _node_plan(code: PolarCode) -> _NodePlan:
             )
         )
         kept = children[mixed]
-    return _NodePlan(root=int(classes[0][0]), levels=tuple(levels), rate0=rate0)
+    # Row i of the inverse is the x with x G = e_i.
+    g = code.kernel.matrix
+    inverse = np.array([gf2.solve(g.T, e) for e in np.eye(l, dtype=np.uint8)])
+    inverse.setflags(write=False)
+    return _NodePlan(
+        root=int(classes[0][0]),
+        levels=tuple(levels),
+        rate0=rate0,
+        rate1=rate1_nodes,
+        inverse=inverse,
+    )
 
 
 # --------------------------------------------------------------------------
 # successive cancellation over batches
 
 
+def _symbols(y: np.ndarray) -> np.ndarray:
+    """`y` as uint8 symbols, once every entry is checked to be 0, 1 or 2.
+
+    The check runs on the caller's values, before the cast, which would
+    wrap 256 to 0 and truncate 0.5; on uint8 input it is a single pass.
+    """
+    if y.dtype == np.uint8:
+        ok = not y.size or y.max() <= Symbol.ERASED
+    else:
+        ok = np.isin(y, (0, 1, 2)).all()
+    if not ok:
+        raise ValueError("received symbols must be 0, 1, or erased")
+    return y.astype(np.uint8, copy=False)
+
+
 def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised sc_decode over a (B, N) symbol batch -> (u_hat, flags).
 
     Each call builds its own decoder state (the decision tables are cached
-    per kernel, the read-only rate-0 re-encodings per code in its
-    `_node_plan`), so concurrent decodes of one code need no coordination.
+    per kernel; the read-only rate-0 re-encodings, rate-1 nodes and inverse
+    kernel per code in its `_node_plan`), so concurrent decodes of one code
+    need no coordination. Raises ValueError unless every symbol is 0, 1 or
+    2 (erased).
     """
-    ys = np.asarray(ys, dtype=np.uint8)
+    ys = np.asarray(ys)
     if ys.ndim != 2 or ys.shape[1] != code.N:
         raise ValueError(f"expected shape (B, {code.N}), got {ys.shape}")
-    if ys.size and not np.isin(ys, (0, 1, 2)).all():
-        raise ValueError("received symbols must be 0, 1, or erased")
+    ys = _symbols(ys)
     l, batch = code.kernel.l, ys.shape[0]
+    plan = _node_plan(code)
+    # Child tables over (l + 1)-bit values: lamx[t, kappa] is LAM where u_t
+    # is determined and bit l alone where it is not; par maps a value to the
+    # parity of its low l bits, or to ERASED when bit l is set. Every
+    # observation word carries bit l, so a child message is one gather:
+    # par[lamx[t][kappa] & (obs ^ prior)].
+    narrow = np.uint8 if l < 8 else np.uint16
     det, lam = _round_tables(code.kernel)
-    row_bits = np.array(code.kernel.row_bits(), dtype=np.uint32)
-    shifts = np.arange(l, dtype=np.uint32)[:, None]
-    values, rate0 = code.frozen_values, _node_plan(code).rate0
+    lamx = np.where(det, lam, 1 << l).astype(narrow)
+    x = np.arange(2 << l)
+    par = np.where(x >> l, Symbol.ERASED, np.bitwise_count(x) & 1).astype(np.uint8)
+    row_bits = np.array(code.kernel.row_bits(), dtype=narrow)
+    shifts = np.arange(l, dtype=narrow)[:, None]
+    observed = narrow(1 << l)
+    values = code.frozen_values
     u_hat = np.empty((batch, code.N), dtype=np.uint8)
     flags = np.zeros((batch, code.N), dtype=np.uint8)
     poison = np.zeros(batch, dtype=bool)
 
     def rec(msg: np.ndarray, lo: int) -> np.ndarray:
         """Decode inputs lo..lo+m-1 from their m messages; return the
-        re-encoding of the decisions."""
+        re-encoding of the decisions (rows broadcast against the batch)."""
         nonlocal poison
         m = msg.shape[1]
-        enc = rate0.get((lo, m))
+        enc = plan.rate0.get((lo, m))
         if enc is not None:
             # Rate-0 subtree: the decisions are the frozen values.
             u_hat[:, lo : lo + m] = values[lo : lo + m]
             poison |= ((msg <= 1) & (msg != enc)).any(axis=1)
-            return np.broadcast_to(enc, msg.shape)
+            return enc
         if m == 1:
             bit = msg[:, 0]
             flag = poison | (bit > 1)
             u_hat[:, lo] = np.where(flag, 0, bit)
             flags[:, lo] = flag
             return u_hat[:, lo : lo + 1]
+        if (lo, m) in plan.rate1 and (poison | (msg.max(axis=1) <= 1)).all():
+            # Rate-1 leaf: a frame that knows every message decides the
+            # inputs that encode to them, unflagged. A poisoned frame decides
+            # 0, flagged; its re-encoding is never read again.
+            decided = _kron_encode(plan.inverse, msg)
+            u_hat[:, lo : lo + m] = np.where(poison[:, None], 0, decided)
+            flags[:, lo : lo + m] = poison[:, None]
+            return msg
         v = msg.reshape(batch, l, m // l)
-        known = (v <= 1).astype(np.uint32)
-        kappa = (known << shifts).sum(axis=1, dtype=np.uint32)
-        obs = ((v & known) << shifts).sum(axis=1, dtype=np.uint32)
+        kappa = ((v <= 1).astype(narrow) << shifts).sum(axis=1, dtype=narrow)
+        obs = ((v == 1).astype(narrow) << shifts).sum(axis=1, dtype=narrow)
+        obs |= observed
         prior = np.zeros_like(kappa)
         for t in range(l):
-            value = _parity(lam[t][kappa] & (obs ^ prior) & kappa)
-            child = np.where(det[t][kappa], value, np.uint8(Symbol.ERASED))
+            child = par[lamx[t][kappa] & (obs ^ prior)]
             prior ^= rec(child, lo + t * (m // l)) * row_bits[t]
-        return ((prior[:, None, :] >> shifts) & 1).astype(np.uint8).reshape(batch, m)
+        unpacked = (prior[:, None, :] >> shifts) & 1
+        return unpacked.astype(np.uint8, copy=False).reshape(batch, m)
 
     rec(ys[:, digit_reversal_permutation(l, code.depth)], 0)
     return u_hat, flags
@@ -507,7 +564,7 @@ def sc_decode(code: PolarCode, y) -> DecodeResult:
     Frozen positions take their frozen values and are never flagged;
     ambiguous information decisions default to zero with the erased flag set.
     """
-    y = np.asarray(y, dtype=np.uint8)
+    y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != code.N:
         raise ValueError(f"expected {code.N} received symbols, got shape {y.shape}")
     u_hat, flags = decode_batch(code, y[None, :])
@@ -565,12 +622,10 @@ def map_oracle_decode(code: PolarCode, y) -> DecodeResult:
         raise BudgetExceededError(
             f"MAP oracle limited to N <= {_MAX_ORACLE_BLOCK}, got N={code.N}"
         )
-    y = np.asarray(y, dtype=np.uint8)
+    y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != code.N:
         raise ValueError(f"expected {code.N} received symbols, got shape {y.shape}")
-    if not np.isin(y, (0, 1, 2)).all():
-        raise ValueError("received symbols must be 0, 1, or erased")
-    u_hat, flags = _map_decode_batch(code, y[None, :])
+    u_hat, flags = _map_decode_batch(code, _symbols(y)[None, :])
     info = code.info_set
     return DecodeResult(
         u_hat=u_hat[0],

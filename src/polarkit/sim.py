@@ -203,7 +203,7 @@ def _bit_transpose(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 #: symbols sampled per sub-block of _known_rows; bounds its temporaries
-_BLOCK_SYMBOLS = 1 << 20
+_BLOCK_SYMBOLS = 1 << 18
 
 #: flagged frames held back before they are decoded in one batch
 _DECODE_FRAMES = 1 << 10
@@ -364,9 +364,9 @@ def run_monte_carlo(
         pending = sum(ids.size for ids in pending_ids)
         if pending and (pending >= _DECODE_FRAMES or last):
             u = _assemble_inputs(code, np.concatenate(pending_ids), master_seed)
-            x = _encode_batch(code.kernel, u)
+            y = _encode_batch(code.kernel, u)
             erased = _unpack_erased(np.concatenate(pending_rows), n)
-            y = np.where(erased, np.uint8(Symbol.ERASED), x)
+            np.copyto(y, np.uint8(Symbol.ERASED), where=erased)
             u_hat, flags = decode_batch(code, y)
             pending_ids.clear()
             pending_rows.clear()

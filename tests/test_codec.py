@@ -617,3 +617,129 @@ def test_code_design_eps_outside_unit_interval_refused(eps):
 def test_genie_flags_of_empty_batch():
     flags = genie_erasure_flags(G2, 3, np.zeros((0, 8), dtype=bool))
     assert flags.shape == (0, 8)
+
+
+# ------------------------------------------- received-symbol checks, layouts
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        np.array([256, 1, 0, 1]),  # a uint8 cast would read 0
+        np.array([258, 1, 0, 1]),  # a uint8 cast would read "erased"
+        np.array([0.5, 1, 1, 1]),
+        np.array([-1, 1, 0, 1]),
+        np.array([np.nan, 1, 0, 1]),
+        np.array([3, 1, 0, 1], dtype=np.uint8),
+    ],
+    ids=["256", "258", "half", "negative", "nan", "uint8-3"],
+)
+def test_decoders_reject_symbols_outside_0_1_2_before_narrowing(word):
+    code = PolarCode.construct(GE, 1, 2, 0.5)
+    with pytest.raises(ValueError, match="received symbols"):
+        sc_decode(code, word)
+    with pytest.raises(ValueError, match="received symbols"):
+        decode_batch(code, word[None, :])
+    with pytest.raises(ValueError, match="received symbols"):
+        map_oracle_decode(code, word)
+
+
+def test_decoders_accept_integer_valued_symbols_of_any_dtype():
+    code = PolarCode.construct(GE, 1, 2, 0.5)
+    word = np.array([2, 0, 2, 1], dtype=np.uint8)
+    want = sc_decode(code, word)
+    for other in (word.astype(np.int64), word.astype(np.float64), word.tolist()):
+        for decode in (sc_decode, map_oracle_decode):
+            got = decode(code, other)
+            assert np.array_equal(got.u_hat, want.u_hat)
+            assert np.array_equal(got.erased_flags, want.erased_flags)
+
+
+@pytest.mark.parametrize("kernel,depth", [(G2, 4), (G101, 3), (GE, 2)])
+def test_encode_of_non_c_contiguous_input_equals_c_input(kernel, depth):
+    rng = np.random.default_rng(41)
+    n = kernel.l**depth
+    u = rng.integers(0, 2, (7, n), dtype=np.uint8)
+    want = _encode_batch(kernel, u)
+    assert np.array_equal(_encode_batch(kernel, np.asfortranarray(u)), want)
+    backwards = np.ascontiguousarray(u[::-1, ::-1])[::-1, ::-1]
+    assert not backwards.flags.c_contiguous
+    assert np.array_equal(_encode_batch(kernel, backwards), want)
+    reversed_columns = u[:, ::-1]
+    assert np.array_equal(
+        _encode_batch(kernel, reversed_columns),
+        _encode_batch(kernel, reversed_columns.copy()),
+    )
+
+
+def test_decode_of_fortran_ordered_batch_equals_c_ordered():
+    rng = np.random.default_rng(42)
+    code = PolarCode.construct(G101, 3, 9, 0.5, frozen_bits=rng.integers(0, 2, 18))
+    ys = rng.integers(0, 3, (300, 27)).astype(np.uint8)
+    u_c, f_c = decode_batch(code, ys)
+    u_f, f_f = decode_batch(code, np.asfortranarray(ys))
+    assert np.array_equal(u_c, u_f) and np.array_equal(f_c, f_f)
+
+
+# --------------------------------- decoder vs MAP: wide tables, rate-1 leaves
+
+
+def oracle_batches(code, rng, frames):
+    """Honest words at several erasure rates, random symbols, and random
+    erasure-free words (all messages known, mostly poisoned)."""
+    n = code.N
+    u = np.tile(code.frozen_values, (frames, 1))
+    u[:, code.info_set] = rng.integers(0, 2, (frames, code.K), dtype=np.uint8)
+    x = _encode_batch(code.kernel, u)
+    eps = rng.choice([0.05, 0.2, 0.5, 0.8], (frames, 1))
+    honest = np.where(rng.random((frames, n)) < eps, np.uint8(2), x)
+    symbols = rng.integers(0, 3, (frames, n)).astype(np.uint8)
+    bits = rng.integers(0, 2, (frames, n)).astype(np.uint8)
+    return [honest, symbols, bits]
+
+
+def assert_sc_matches_map(code, batches):
+    for ys in batches:
+        u_sc, f_sc = decode_batch(code, ys)
+        u_mp, f_mp = _map_decode_batch(code, ys)
+        assert np.array_equal(u_sc, u_mp)
+        assert np.array_equal(f_sc, f_mp)
+        # Small batches reach the rate-1 leaves whenever every frame of the
+        # batch knows its messages or is poisoned.
+        for row in range(0, ys.shape[0], 37):
+            u_one, f_one = decode_batch(code, ys[row : row + 2])
+            assert np.array_equal(u_one, u_mp[row : row + 2])
+            assert np.array_equal(f_one, f_mp[row : row + 2])
+
+
+@pytest.mark.parametrize(
+    "kernel", random_invertible_kernels(707, [7, 8, 12]), ids=lambda k: f"l={k.l}"
+)
+def test_sc_matches_map_on_wide_kernels(kernel):
+    # l = 7 fills the uint8 child tables; l >= 8 takes the uint16 ones.
+    rng = np.random.default_rng(kernel.l)
+    for _ in range(6):
+        mask = rng.integers(0, 2, kernel.l).astype(np.uint8)
+        vals = rng.integers(0, 2, kernel.l, dtype=np.uint8) * mask
+        code = PolarCode(kernel=kernel, depth=1, frozen_mask=mask, frozen_values=vals)
+        assert_sc_matches_map(code, oracle_batches(code, rng, 150))
+
+
+@pytest.mark.parametrize(
+    "kernel,depth,random_masks,frames",
+    # the oracle of G_e at depth 2 enumerates 2^16 inputs per frame
+    [(G2, 3, 4, 120), (G101, 2, 4, 120), (GE, 2, 2, 40)],
+    ids=["G2-depth3", "G3-depth2", "Ge-depth2"],
+)
+def test_sc_matches_map_with_rate1_leaves(kernel, depth, random_masks, frames):
+    rng = np.random.default_rng(17 * depth + kernel.l)
+    n = kernel.l**depth
+    # K = N, K = N - 1 (the last or the least reliable input frozen), random
+    masks = [np.zeros(n, np.uint8), np.eye(1, n, n - 1, dtype=np.uint8)[0]]
+    masks += [PolarCode.construct(kernel, depth, n - 1, 0.5).frozen_mask]
+    masks += [(rng.random(n) < rng.random()).astype(np.uint8)
+              for _ in range(random_masks)]
+    for mask in masks:
+        vals = rng.integers(0, 2, n, dtype=np.uint8) * mask
+        code = PolarCode(kernel=kernel, depth=depth, frozen_mask=mask, frozen_values=vals)
+        assert_sc_matches_map(code, oracle_batches(code, rng, frames))
