@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf2
 from .errors import BudgetExceededError
 from .kernels import Kernel, reference_generator
 
@@ -78,36 +79,14 @@ class Spectrum:
         return self.z.shape[0]
 
 
-def _undetermined(restricted: np.ndarray) -> np.ndarray:
-    """Undetermined inputs of every lane, shape (l, n) bool.
-
-    `restricted` is (l, n): row i of each lane's kernel masked to the lane's
-    kept columns. The rows are inserted bottom-up into an echelon basis;
-    input i is undetermined iff its row reduces to zero against the rows
-    below it. As in `gf2.packed_rank`, min(v, v ^ b) clears b's leading bit
-    from v when it is set. Each basis row is reduced against the rows
-    inserted before it, so reducing in insertion order never sets a leading
-    bit that was already cleared, and a zero row changes nothing.
-    """
-    l, n = restricted.shape
-    basis = np.empty((l, n), dtype=np.uint32)  # slot j: row l-1-j, reduced
-    undet = np.empty((l, n), dtype=bool)
-    for j in range(l):
-        i = l - 1 - j
-        v = restricted[i].copy()
-        for b in basis[:j]:
-            np.minimum(v, v ^ b, out=v)
-        undet[i] = v == 0
-        basis[j] = v
-    return undet
-
-
 def batch_profiles(rows, l: int) -> np.ndarray:
     """Count tables of a batch of kernels, shape (M, l, l+1), dtype int64.
 
     `rows` is an (M, l) array of row bits as in `Kernel.row_bits`; entry
     [m, i, s] is `counts[i][s]` of kernel m's TransitionProfile. Every
-    (kernel, erasure pattern) pair is one lane of `_undetermined`, and the
+    (kernel, erasure pattern) pair is one lane of `gf2.bottom_up_reduce`
+    over the kernel's rows masked to the kept columns: input i is
+    undetermined iff its row reduces to zero against the rows below it. The
     lanes run in blocks of _BLOCK_LANES. Kernels above size
     _MAX_PROFILE_SIZE raise BudgetExceededError before any work.
     """
@@ -129,7 +108,7 @@ def batch_profiles(rows, l: int) -> np.ndarray:
         by_weight = (weight == np.arange(l + 1)).astype(np.float64)
         for m0 in range(0, rows.shape[0], step):
             block = rows[m0 : m0 + step].T[:, :, None] & keep
-            undet = _undetermined(block.reshape(l, -1)).reshape(-1, width)
+            undet = (gf2.bottom_up_reduce(block) == 0).reshape(-1, width)
             tallies = (undet.astype(np.float64) @ by_weight).reshape(l, -1, l + 1)
             counts[m0 : m0 + step] += tallies.transpose(1, 0, 2).astype(np.int64)
     return counts

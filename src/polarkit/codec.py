@@ -298,6 +298,11 @@ def _round_tables(kernel: Kernel):
       DET[t, kappa]   -- is u_t determined?
       LAM[t, kappa]   -- column mask whose residual parity gives the value
 
+    u_t is determined iff row t, masked to kappa, lies outside the span of
+    the masked rows below it: one `gf2.bottom_up_reduce` with every mask as
+    a lane. LAM, the `gf2.solve` solution with free variables zero, is
+    solved only where DET holds and is 0 elsewhere.
+
     The returned arrays are immutable and shared between concurrent decodes.
     """
     l = kernel.l
@@ -307,19 +312,14 @@ def _round_tables(kernel: Kernel):
             "size 12 are not supported"
         )
     m = kernel.matrix
-    det = np.zeros((l, 1 << l), dtype=bool)
+    masks = np.arange(1 << l, dtype=np.uint16)
+    rows = np.array(kernel.row_bits(), dtype=np.uint16)
+    det = gf2.bottom_up_reduce(rows[:, None] & masks) != 0
     lam = np.zeros((l, 1 << l), dtype=np.uint32)
-    e0 = np.zeros(l, dtype=np.uint8)
-    for t in range(l):
-        target = e0[: l - t].copy()
-        target[0] = 1
-        for kappa in range(1 << l):
-            cols = [c for c in range(l) if (kappa >> c) & 1]
-            a = m[t:, cols] if cols else np.zeros((l - t, 0), dtype=np.uint8)
-            sol = gf2.solve(a, target)
-            if sol is not None:
-                det[t, kappa] = True
-                lam[t, kappa] = sum(1 << cols[j] for j in range(len(cols)) if sol[j])
+    for t, kappa in zip(*np.nonzero(det)):
+        cols = [c for c in range(l) if (kappa >> c) & 1]
+        sol = gf2.solve(m[t:, cols], np.eye(1, l - t, dtype=np.uint8)[0])
+        lam[t, kappa] = sum(1 << c for c, x in zip(cols, sol) if x)
     for arr in (det, lam):
         arr.setflags(write=False)
     return det, lam

@@ -1,7 +1,8 @@
 """Dense GF(2) linear algebra on numpy 0/1 arrays.
 
-All routines treat inputs as binary matrices/vectors (dtype-agnostic, values
-reduced mod 2) and never mutate their arguments.
+The matrix routines take binary matrices/vectors (any dtype, entries 0 or
+1); `bottom_up_reduce` and `packed_rank` take rows packed into
+non-negative integers, one bit per column. No routine mutates its arguments.
 """
 
 from __future__ import annotations
@@ -48,8 +49,30 @@ def rank(m) -> int:
     return len(_row_reduce(a, a.shape[1])[1])
 
 
+def bottom_up_reduce(rows) -> np.ndarray:
+    """Each row reduced modulo the span of the rows below it, lane by lane.
+
+    `rows` holds non-negative integers, one bit per column, with the rows on
+    axis 0 and independent lanes on the axes after it. Row i of the result
+    is the least member of row i's coset modulo the span of rows i+1.., so
+    it is zero iff row i lies in that span. Rows are reduced bottom-up, each
+    against the reduced rows below it in the order they were reduced:
+    min(v, v ^ b) clears b's leading bit from v when it is set, and that
+    order never sets a leading bit already cleared.
+    """
+    out = np.array(rows, order="C")
+    for i in range(out.shape[0] - 2, -1, -1):
+        v = out[i : i + 1]  # a view even when there are no lane axes
+        for b in out[:i:-1]:
+            np.minimum(v, v ^ b, out=v)
+    return out
+
+
 def packed_rank(rows) -> int:
-    """GF(2) rank of rows given as non-negative integers, one bit per column."""
+    """GF(2) rank of rows given as non-negative integers, one bit per column.
+
+    The scalar, Python-int form of the reduction in `bottom_up_reduce`.
+    """
     basis: list[int] = []  # distinct leading bits, kept in decreasing order
     for r in rows:
         for b in basis:

@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import gf2
 from .bec import _check_spectrum_budget, one_step_profile
 from .ioutil import atomic_write_text
 from .kernels import Kernel, family_rows, row_descriptors
@@ -202,21 +203,11 @@ def _canonical_rows(rows: np.ndarray, l: int) -> np.ndarray:
     """Row-canonical form of every kernel in an (M, l) array of row bits.
 
     Row i becomes the least member of its coset modulo the span of rows
-    i+1..l-1. Two kernels share a form iff one turns into the other by adding
-    later rows to earlier ones. The rows are reduced bottom-up, and the
-    reduced rows below row i serve as its echelon basis. As in
-    `bec._undetermined`, min(v, v ^ b) clears b's leading bit from v when it
-    is set. Each reduced row has the leading bits of the rows reduced before
-    it cleared, so reducing in that order clears every leading bit of the
-    span, and the one coset member with those bits clear is the least.
+    i+1..l-1 (`gf2.bottom_up_reduce` with the kernels as lanes). Two kernels
+    share a form iff one turns into the other by adding later rows to
+    earlier ones.
     """
-    canon = np.empty_like(rows)
-    for i in range(l - 1, -1, -1):
-        v = rows[:, i].copy()
-        for j in range(l - 1, i, -1):
-            np.minimum(v, v ^ canon[:, j], out=v)
-        canon[:, i] = v
-    return canon
+    return gf2.bottom_up_reduce(rows.T).T
 
 
 def group_survey(family: Iterable[Kernel], eps0: float, depth: int) -> list[GroupRecord]:

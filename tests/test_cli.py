@@ -313,3 +313,22 @@ def test_analyze_at_eps_zero_still_reports_nan_distance(capsys):
 def test_survey_huge_depth_refused_with_exit_3(capsys):
     assert run(["survey", "--size", "3", "--depth", str(10**11)]) == 3
     assert "spectrum budget" in capsys.readouterr().err
+
+
+def test_simulate_code_with_kernel_above_size_12_exits_3(tmp_path, capsys):
+    # The decision tables enumerate 2^l observation masks; a 13x13 kernel is
+    # refused with the budget exit code, not a traceback.
+    from polarkit import PolarCode, parse_kernel
+
+    kernel = parse_kernel(",".join("0" * i + "1" + "0" * (12 - i) for i in range(13)))
+    mask = [1] + [0] * 12
+    code = PolarCode(kernel=kernel, depth=1, frozen_mask=mask, frozen_values=[0] * 13)
+    path = tmp_path / "code13.json"
+    path.write_text(json.dumps(code.to_json_dict()))
+    out = tmp_path / "sim.csv"
+    assert run(["simulate", "--code", str(path), "--eps", "0.5",
+                "--max-trials", "100", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: decoding tables enumerate 2^13 observation masks")
+    assert "Traceback" not in err
+    assert not out.exists()

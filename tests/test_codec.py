@@ -598,6 +598,65 @@ def test_genie_flags_match_det_table_on_every_known_set():
         assert np.array_equal(flags, ~det.T), kernel.descriptor()
 
 
+def test_decision_tables_match_gf2_solve_entry_by_entry():
+    # An independent reference for DET and LAM: one gf2.solve of
+    # m[t:, cols] x = e_0 per (position, known mask), on every 3x3 kernel and
+    # on random kernels of sizes 4..7, singular ones included.
+    from polarkit import Kernel, gf2
+    from polarkit.codec import _round_tables
+
+    rng = np.random.default_rng(23)
+    kernels = [
+        Kernel(np.array(m, dtype=np.uint8).reshape(3, 3))
+        for m in itertools.product((0, 1), repeat=9)
+    ]
+    kernels += [
+        Kernel(rng.integers(0, 2, (l, l), dtype=np.uint8))
+        for l in (4, 5, 6, 7)
+        for _ in range(2)
+    ]
+    for kernel in kernels:
+        l, m, desc = kernel.l, kernel.matrix, kernel.descriptor()
+        rows = np.array(kernel.row_bits())
+        det, lam = _round_tables(kernel)
+        assert det.shape == lam.shape == (l, 1 << l)
+        for t in range(l):
+            target = np.eye(1, l - t, dtype=np.uint8)[0]
+            for kappa in range(1 << l):
+                cols = [c for c in range(l) if (kappa >> c) & 1]
+                sol = gf2.solve(m[t:, cols], target)
+                where = (desc, t, kappa)
+                assert det[t, kappa] == (sol is not None), where
+                if sol is None:
+                    assert lam[t, kappa] == 0, where
+                    continue
+                want = sum(1 << c for c, x in zip(cols, sol) if x)
+                assert lam[t, kappa] == want, where
+                assert int(lam[t, kappa]) & ~kappa == 0, where  # LAM within kappa
+                # Row r >= t has odd parity on LAM exactly when r = t.
+                parity = np.bitwise_count(rows[t:] & int(lam[t, kappa])) & 1
+                assert parity.tolist() == [1] + [0] * (l - 1 - t), where
+
+
+def test_decoding_refuses_kernels_above_size_12_before_table_work(monkeypatch):
+    from polarkit import Kernel, gf2
+
+    kernel = Kernel(np.eye(13, dtype=np.uint8))
+    mask = np.eye(1, 13, dtype=np.uint8)[0]
+    code = PolarCode(
+        kernel=kernel, depth=1, frozen_mask=mask, frozen_values=np.zeros(13, np.uint8)
+    )
+
+    def no_table_work(*args, **kwargs):
+        raise AssertionError("decision tables built for a 13x13 kernel")
+
+    # DET is the tables' first step; the node plan's inverse kernel may still
+    # call gf2.solve.
+    monkeypatch.setattr(gf2, "bottom_up_reduce", no_table_work)
+    with pytest.raises(BudgetExceededError, match="above size 12"):
+        decode_batch(code, np.full((1, 13), Symbol.ERASED, dtype=np.uint8))
+
+
 def test_code_depth_beyond_spectrum_budget_refused_before_power():
     # 2^(10^30) is never formed: the depth is checked against the budget first.
     with pytest.raises(BudgetExceededError, match="spectrum budget"):

@@ -123,6 +123,49 @@ def test_packed_rank_matches_rank(m):
     assert gf2.packed_rank(rows) == gf2.rank(m)
 
 
+# Stacks of bit matrices: (rows, *lanes, cols) with 0 to 2 lane axes, one
+# matrix per lane.
+lane_stacks = arrays(
+    np.uint8,
+    st.tuples(
+        st.integers(1, 6),
+        st.lists(st.integers(1, 3), max_size=2),
+        st.integers(1, 8),
+    ).map(lambda s: (s[0], *s[1], s[2])),
+    elements=st.integers(0, 1),
+)
+
+
+@given(
+    lane_stacks, st.sampled_from([np.uint8, np.uint16, np.uint32, np.int64, object])
+)
+@settings(max_examples=100, deadline=None)
+def test_bottom_up_reduce_against_in_span_and_rank(bits, dtype):
+    rows = (bits.astype(np.int64) << np.arange(bits.shape[-1])).sum(axis=-1)
+    rows = rows.astype(dtype)
+    reduced = gf2.bottom_up_reduce(rows)
+    assert reduced.shape == rows.shape and reduced.dtype == rows.dtype
+    assert np.array_equal(gf2.bottom_up_reduce(reduced), reduced)
+    for lane in np.ndindex(rows.shape[1:]):
+        m = bits[(slice(None),) + lane]
+        r = reduced[(slice(None),) + lane]
+        assert np.count_nonzero(r) == gf2.rank(m)
+        for i in range(m.shape[0]):
+            assert (r[i] == 0) == gf2.in_span(m[i], list(m[i + 1 :])), (lane, i)
+            # r[i] is the least member of row i's coset modulo the rows below.
+            below = [int(v) for v in rows[(slice(i + 1, None),) + lane]]
+            coset = {int(rows[(i,) + lane])}
+            for b in below:
+                coset |= {v ^ b for v in coset}
+            assert int(r[i]) == min(coset), (lane, i)
+
+
+def test_bottom_up_reduce_leaves_its_argument():
+    rows = np.array([[3, 1], [1, 1]], dtype=np.uint8)
+    assert gf2.bottom_up_reduce(rows).tolist() == [[2, 0], [1, 1]]
+    assert rows.tolist() == [[3, 1], [1, 1]]
+
+
 AS_BITS_INPUTS = [
     np.array([[True, False], [False, True]]),
     np.array([[0, 1], [1, 1]]),

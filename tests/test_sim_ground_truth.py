@@ -19,7 +19,8 @@ from polarkit import (
     run_monte_carlo,
 )
 from polarkit import sim
-from polarkit.sim import _erasure_block, _known_rows
+from polarkit.codec import _screen_positions
+from polarkit.sim import _bit_transpose, _erasure_block, _known_rows
 
 G2 = parse_kernel("10,11")
 G3 = parse_kernel("100,110,011")
@@ -127,3 +128,64 @@ def test_monte_carlo_fer_matches_exact_fer(kernel, depth, k, use_map, eps):
     # A frame error is the union of the genie flags of the information set.
     zs = evolve_spectrum(kernel, eps, depth).z[code.info_set]
     assert zs.max() - 1e-12 <= exact <= zs.sum() + 1e-12
+
+
+#: two-sided tail of a 5-sigma normal deviation: the per-position bound of the
+#: erasure-rate test, about 3e-3 family-wise over its 5,000 or so positions
+_FIVE_SIGMA = math.erfc(5 / math.sqrt(2))
+
+
+def _binomial_two_sided(count, trials, p):
+    """Exact two-sided binomial tail of `count` successes in `trials`,
+    2 * min(P(X <= count), P(X >= count)), for a small mean trials * p."""
+    if p == 0.0:
+        return 1.0 if count == 0 else 0.0
+    mean = trials * p
+    top = min(trials, max(count, int(mean + 40 * math.sqrt(mean) + 40)))
+    j = np.arange(top + 1)
+    log_pmf = (
+        math.lgamma(trials + 1)
+        - np.array([math.lgamma(i + 1) + math.lgamma(trials - i + 1) for i in j])
+        + j * math.log(p)
+        + (trials - j) * math.log1p(-p)
+    )
+    pmf = np.exp(log_pmf)
+    return min(1.0, 2 * min(pmf[: count + 1].sum(), pmf[count:].sum()))
+
+
+# eps 0.5 and 0.45 are the k = 1 and k = 64 channel paths, 19661/65536 k = 16
+ERASURE_RATE_CASES = [
+    (GE, 5, 0.5),
+    (G2, 10, 0.5),
+    (G3, 7, 0.45),
+    (GE, 5, 19661 / 65536),
+]
+
+
+@pytest.mark.parametrize(
+    "kernel,depth,eps", ERASURE_RATE_CASES, ids=["Ge-0.5", "G2-0.5", "G3-0.45", "Ge-k16"]
+)
+def test_screen_erasure_rates_match_spectrum_at_full_length(kernel, depth, eps):
+    # The channel sampler, the bit transpose and the full genie screen of
+    # 2^16 trials give each input's erasure count, which is binomial with the
+    # rate of evolve_spectrum. Dense positions take a normal bound, sparse
+    # ones (variance below 100) an exact binomial tail.
+    n, trials, chunk = kernel.l**depth, 1 << 16, 1 << 13
+    width = 64 * (-(-n // 64))
+    counts = np.zeros(n, dtype=np.int64)
+    for start in range(0, trials, chunk):
+        rows = _known_rows(20240509, eps, n, start, chunk)
+        known = _bit_transpose(rows, chunk, width)[:n].view(np.uint8)
+        determined = _screen_positions(kernel, depth, known)
+        counts += chunk - np.bitwise_count(determined).sum(axis=1, dtype=np.int64)
+    z = evolve_spectrum(kernel, eps, depth).z
+    var = trials * z * (1 - z)
+    dense = np.flatnonzero(var >= 100)
+    dev = (counts[dense] - trials * z[dense]) / np.sqrt(var[dense])
+    worst = np.argmax(np.abs(dev))
+    assert abs(dev[worst]) <= 5, (dense[worst], dev[worst])
+    for i in np.flatnonzero(var < 100).tolist():
+        # The rarer outcome keeps the binomial mean small.
+        rare, p = (counts[i], z[i]) if z[i] <= 0.5 else (trials - counts[i], 1 - z[i])
+        tail = _binomial_two_sided(int(rare), trials, float(p))
+        assert tail >= _FIVE_SIGMA, (i, int(counts[i]), float(z[i]), tail)
