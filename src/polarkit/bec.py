@@ -36,6 +36,9 @@ _MAX_ORACLE_BLOCK = 8
 _MAX_SPECTRUM_SIZE = 1 << 24
 #: (kernel, erasure pattern) lanes per block of the count-table elimination
 _BLOCK_LANES = 1 << 15
+#: channel values per block of the distance-curve evolution (at least one
+#: table per block)
+_CURVE_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -178,12 +181,19 @@ def batch_curves(counts: np.ndarray, eps0: float, depth: int) -> np.ndarray:
     """Distance curves of a batch of count tables, shape (M, depth).
 
     Column d - 1 is the polarisation distance of each spectrum at depth d
-    (as in `polarisation_distance`, normalised by eps0 * eps0).
+    (as in `polarisation_distance`, normalised by eps0 * eps0). The tables
+    are evolved in blocks of about _CURVE_VALUES final-level channel values,
+    so memory does not grow with M; each table's curve is computed on its
+    own row, whatever the block.
     """
+    l = counts.shape[1]
+    step = max(1, _CURVE_VALUES // l ** min(depth, _CURVE_VALUES.bit_length()))
     curves = np.empty((counts.shape[0], depth))
-    for d, z in enumerate(_spectrum_levels(counts, eps0, depth)):
-        small = np.minimum(z, 1.0 - z)
-        curves[:, d] = (small * small).mean(axis=1) / (eps0 * eps0)
+    for m0 in range(0, counts.shape[0], step):
+        block = slice(m0, m0 + step)
+        for d, z in enumerate(_spectrum_levels(counts[block], eps0, depth)):
+            small = np.minimum(z, 1.0 - z)
+            curves[block, d] = (small * small).mean(axis=1) / (eps0 * eps0)
     return curves
 
 

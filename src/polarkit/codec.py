@@ -289,6 +289,15 @@ def encode(code: PolarCode, u) -> np.ndarray:
 # one-round decision primitive
 
 
+def _check_table_size(l: int) -> None:
+    """Refuse a kernel whose decision tables would exceed 2^12 masks."""
+    if l > 12:
+        raise BudgetExceededError(
+            f"decoding tables enumerate 2^{l} observation masks; kernels above "
+            "size 12 are not supported"
+        )
+
+
 @functools.lru_cache(maxsize=128)
 def _round_tables(kernel: Kernel):
     """Per (position, known-mask) decision tables for one kernel round.
@@ -306,11 +315,7 @@ def _round_tables(kernel: Kernel):
     The returned arrays are immutable and shared between concurrent decodes.
     """
     l = kernel.l
-    if l > 12:
-        raise BudgetExceededError(
-            f"decoding tables enumerate 2^{l} observation masks; kernels above "
-            "size 12 are not supported"
-        )
+    _check_table_size(l)
     m = kernel.matrix
     masks = np.arange(1 << l, dtype=np.uint16)
     rows = np.array(kernel.row_bits(), dtype=np.uint16)
@@ -408,6 +413,9 @@ class _NodePlan(NamedTuple):
 @functools.lru_cache(maxsize=32)
 def _node_plan(code: PolarCode) -> _NodePlan:
     l, n = code.kernel.l, code.N
+    # Every plan is for decoding, so an undecodable kernel is refused here,
+    # before the plan or any channel work.
+    _check_table_size(l)
     sizes = [n // l**k for k in range(code.depth + 1)]
     classes = []
     for size in sizes:

@@ -6,12 +6,17 @@ import os
 import tempfile
 from pathlib import Path
 
+#: characters per write; the encoder never holds more than one slice's bytes
+_WRITE_SLICE = 1 << 20
+
 
 def atomic_write_text(path, text: str) -> Path:
     """Write `text` to `path` via a temp file and rename.
 
     Interrupted runs never leave a truncated file behind. I/O failures are
-    re-raised with the destination path in the message.
+    re-raised with the destination path in the message. The text is written
+    in slices of _WRITE_SLICE characters, so encoding it never makes a second
+    full-size copy.
     """
     target = Path(path)
     try:
@@ -19,7 +24,8 @@ def atomic_write_text(path, text: str) -> Path:
         fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(text)
+                for i in range(0, len(text), _WRITE_SLICE):
+                    fh.write(text[i : i + _WRITE_SLICE])
             os.replace(tmp, target)
         except BaseException:
             try:

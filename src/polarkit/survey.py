@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,6 +45,9 @@ CURVE_TOL = 1e-12
 POLARISING_MARGIN = 1e-9
 
 _MAX_SPECTRUM = 1 << 20
+
+#: survey members per block of the CSV export; bounds its temporaries
+_CSV_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -294,31 +296,36 @@ def _group_rows(rows: np.ndarray, l: int, eps0: float, depth: int) -> list[Group
 
 
 def survey_csv_text(records: Sequence[GroupRecord]) -> str:
+    """The survey CSV: a header, then one line per member, groups in id order.
+
+    Each group's members are written in blocks of _CSV_BLOCK, so no list or
+    string spans the whole family: a line is the member's descriptor plus
+    one of its group's suffixes (group id, polarising flag, exponent and
+    curve), each formatted once per distinct exponent (NaN, the singular
+    kernels, gives an empty cell).
+    """
     if not records:
         raise ValueError("no survey records to export")
     depth = len(records[0].distance_curve)
-    header = "kernel_rows,group_id,polarising,exponent," + ",".join(
-        f"d{i}" for i in range(1, depth + 1)
-    )
-    names = row_descriptors(
-        np.concatenate([rec.member_rows for rec in records]), sep=";"
-    )
-    # Each distinct exponent (NaN for the singular kernels) is formatted once.
-    values, which = np.unique(
-        np.concatenate([rec.member_exponents for rec in records]),
-        return_inverse=True,
-    )
-    texts = ["" if math.isnan(v) else f"{v:.12g}" for v in values.tolist()]
-    cells = zip(names, [texts[i] for i in which.tolist()])
-    lines = [header]
+    blocks = [
+        "kernel_rows,group_id,polarising,exponent,"
+        + ",".join(f"d{i}" for i in range(1, depth + 1))
+        + "\n"
+    ]
     for rec in records:
         middle = f",{rec.group_id},{int(rec.polarising)},"
-        curve = "," + ",".join(f"{v:.12g}" for v in rec.distance_curve)
-        lines += [
-            name + middle + exp + curve
-            for name, exp in islice(cells, rec.member_count)
+        curve = "," + ",".join(f"{v:.12g}" for v in rec.distance_curve) + "\n"
+        values, which = np.unique(rec.member_exponents, return_inverse=True)
+        suffix = [
+            middle + ("" if math.isnan(v) else f"{v:.12g}") + curve
+            for v in values.tolist()
         ]
-    return "\n".join(lines) + "\n"
+        for a in range(0, rec.member_count, _CSV_BLOCK):
+            b = a + _CSV_BLOCK
+            names = row_descriptors(rec.member_rows[a:b], sep=";")
+            lines = zip(names, which[a:b].tolist())
+            blocks.append("".join([name + suffix[i] for name, i in lines]))
+    return "".join(blocks)
 
 
 def export_survey(records: Sequence[GroupRecord], destination) -> None:

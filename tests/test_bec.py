@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,6 +327,34 @@ def test_distance_in_unit_interval_at_half(idx, depth):
         depth = 5
     d = polarisation_distance(evolve_spectrum(k, 0.5, depth))
     assert -1e-12 <= d <= 1.0 + 1e-12
+
+
+def _distinct_4x4_tables(count):
+    counts = batch_profiles(family_rows(4, "all")[:4096], 4).reshape(-1, 20)
+    tables = np.unique(counts, axis=0).reshape(-1, 4, 5)
+    assert tables.shape[0] >= count
+    return tables[:count]
+
+
+@pytest.mark.parametrize("eps0,depth", [(0.5, 5), (0.3, 7)])
+def test_blocked_curves_equal_one_table_at_a_time(eps0, depth):
+    # 4^5 and 4^7 channel values per table: 64 and 4 tables per block.
+    tables = _distinct_4x4_tables(70)
+    one_by_one = np.concatenate([batch_curves(t[None], eps0, depth) for t in tables])
+    assert np.array_equal(batch_curves(tables, eps0, depth), one_by_one)
+
+
+def test_curve_memory_does_not_grow_with_the_batch():
+    tables = _distinct_4x4_tables(64)
+    peaks = []
+    for count in (8, 64):
+        tracemalloc.start()
+        try:
+            batch_curves(tables[:count], 0.5, 7)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
 
 
 def _curve_distance(k, eps0, depth):

@@ -315,10 +315,16 @@ def test_survey_huge_depth_refused_with_exit_3(capsys):
     assert "spectrum budget" in capsys.readouterr().err
 
 
-def test_simulate_code_with_kernel_above_size_12_exits_3(tmp_path, capsys):
+def test_simulate_code_with_kernel_above_size_12_exits_3(tmp_path, capsys, monkeypatch):
     # The decision tables enumerate 2^l observation masks; a 13x13 kernel is
-    # refused with the budget exit code, not a traceback.
-    from polarkit import PolarCode, parse_kernel
+    # refused with the budget exit code, not a traceback, before any channel
+    # words are drawn.
+    from polarkit import PolarCode, parse_kernel, sim
+
+    def no_channel_work(*args):
+        raise AssertionError("channel words drawn for a 13x13 kernel")
+
+    monkeypatch.setattr(sim, "_known_rows", no_channel_work)
 
     kernel = parse_kernel(",".join("0" * i + "1" + "0" * (12 - i) for i in range(13)))
     mask = [1] + [0] * 12

@@ -650,8 +650,8 @@ def test_decoding_refuses_kernels_above_size_12_before_table_work(monkeypatch):
     def no_table_work(*args, **kwargs):
         raise AssertionError("decision tables built for a 13x13 kernel")
 
-    # DET is the tables' first step; the node plan's inverse kernel may still
-    # call gf2.solve.
+    # DET is the tables' first step; the node plan refuses the kernel before
+    # any of it.
     monkeypatch.setattr(gf2, "bottom_up_reduce", no_table_work)
     with pytest.raises(BudgetExceededError, match="above size 12"):
         decode_batch(code, np.full((1, 13), Symbol.ERASED, dtype=np.uint8))

@@ -1,0 +1,35 @@
+import os
+
+import pytest
+
+from polarkit import ioutil
+from polarkit.ioutil import atomic_write_text
+
+
+def _default_encoding():
+    # The encoding of a text-mode file opened without one.
+    with open(os.devnull, "w") as fh:
+        return fh.encoding
+
+
+@pytest.mark.parametrize("slice_chars", [ioutil._WRITE_SLICE, 5])
+def test_atomic_write_text_is_byte_identical_across_slices(
+    tmp_path, monkeypatch, slice_chars
+):
+    monkeypatch.setattr(ioutil, "_WRITE_SLICE", slice_chars)
+    # Multi-byte characters straddle the first slice boundary and, repeated
+    # with a period prime to 5, land on every later small-slice boundary.
+    base = "a,b;é€\n" * (slice_chars // 7 + 1)
+    text = base[: slice_chars - 1] + "€ü𝄞" + base * 2 + "é"
+    assert len(text) > 2 * slice_chars
+    target = tmp_path / "out.csv"
+    assert atomic_write_text(target, text) == target
+    assert target.read_bytes() == text.encode(_default_encoding())
+    assert os.listdir(tmp_path) == ["out.csv"]  # no temporary file left
+
+
+def test_atomic_write_text_writes_empty_text(tmp_path):
+    target = tmp_path / "empty.csv"
+    target.write_text("old contents")
+    atomic_write_text(target, "")
+    assert target.read_bytes() == b""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from polarkit import (
 )
 from polarkit import BudgetExceededError
 from polarkit.bec import batch_profiles
+from polarkit import survey as survey_module
 from polarkit.kernels import batch_exponents, row_descriptors
 from polarkit.survey import _canonical_rows, _unique_rows, survey_csv_text
 
@@ -223,14 +226,45 @@ def test_columnar_export_equals_literal_csv_3x3_lower_triangular():
     assert survey_csv_text(records) == _literal_survey_csv(LT3, records)
 
 
-def test_columnar_export_equals_literal_csv_on_4x4_sample():
+def _sample_4x4(count=2_000):
     rng = np.random.default_rng(20240509)
-    rows = family_rows(4, "all")[rng.choice(1 << 16, 2_000, replace=False)]
-    kernels = [Kernel.from_row_bits(r) for r in rows]
+    rows = family_rows(4, "all")[rng.choice(1 << 16, count, replace=False)]
+    return [Kernel.from_row_bits(r) for r in rows]
+
+
+def test_columnar_export_equals_literal_csv_on_4x4_sample():
+    kernels = _sample_4x4()
     records = group_survey(kernels, 0.5, 5)
     text = survey_csv_text(records)
     assert text == _literal_survey_csv(kernels, records)
     assert len(text.strip().split("\n")) == 2_001
+
+
+@pytest.mark.parametrize("sample", ["3x3 all", "4x4 sample"])
+def test_export_blocks_cut_inside_groups_give_the_literal_csv(monkeypatch, sample):
+    # Blocks of 7 members end inside most groups and leave short tails.
+    monkeypatch.setattr(survey_module, "_CSV_BLOCK", 7)
+    if sample == "3x3 all":
+        kernels = list(enumerate_kernels(3, "all"))
+    else:
+        kernels = _sample_4x4()
+    records = group_survey(kernels, 0.5, 5)
+    assert any(rec.member_count > 7 and rec.member_count % 7 for rec in records)
+    assert survey_csv_text(records) == _literal_survey_csv(kernels, records)
+
+
+def test_export_peak_memory_is_bounded_by_the_text():
+    # The blocks and their join hold about two copies of the text; a
+    # whole-family list of lines or descriptors would add several more.
+    records = survey_family(4, "all", 0.5, 5)
+    tracemalloc.start()
+    try:
+        text = survey_csv_text(records)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 6_205_968
+    assert peak <= 2.5 * len(text)
 
 
 @pytest.mark.parametrize("l,family", [(4, "all"), (5, "lower_triangular_unit_diagonal")])
