@@ -562,7 +562,12 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
         unpacked = (prior[:, None, :] >> shifts) & 1
         return unpacked.astype(np.uint8, copy=False).reshape(batch, m)
 
-    rec(ys[:, digit_reversal_permutation(l, code.depth)], 0)
+    try:
+        rec(ys[:, digit_reversal_permutation(l, code.depth)], 0)
+    finally:
+        # rec's closure refers to rec itself; without this the cycle would
+        # keep this call's arrays alive until the cyclic collector runs.
+        del rec
     return u_hat, flags
 
 

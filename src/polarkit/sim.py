@@ -39,9 +39,11 @@ planes, so the screen returns the frame-error plane of the chunk directly
 (`codec._screen_known_planes`). The screen alone fixes the frame-error count
 and the stop cut. The full decoder runs only on flagged frames: their trial
 ids and known rows are held back until at least _DECODE_FRAMES are pending,
-or the run ends, and then decoded in one batch. The tallies are exactly
-those of decoding every trial individually (verified in tests against the
-literal per-trial loop).
+or the run ends. That flush first frees the spent chunk (its rows, planes
+and frame-error plane), then decodes the pending frames in batches of at
+most _DECODE_FRAMES, so its memory does not grow with how many frames one
+chunk flags. The tallies are exactly those of decoding every trial
+individually (verified in tests against the literal per-trial loop).
 """
 
 from __future__ import annotations
@@ -205,7 +207,8 @@ def _bit_transpose(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
 #: symbols sampled per sub-block of _known_rows; bounds its temporaries
 _BLOCK_SYMBOLS = 1 << 18
 
-#: flagged frames held back before they are decoded in one batch
+#: flagged frames held back before a flush, and the most frames one decode
+#: takes; a flush frees the spent chunk, then decodes in batches of this size
 _DECODE_FRAMES = 1 << 10
 
 
@@ -309,6 +312,23 @@ def _assemble_inputs(code: PolarCode, trial_indices, master_seed: int) -> np.nda
     return u
 
 
+def _decode_flagged(
+    code: PolarCode, trial_ids: np.ndarray, rows: np.ndarray, master_seed: int
+) -> tuple[int, int]:
+    """Bit errors and bit erasures of the screen-flagged trials `trial_ids`,
+    decoded in one batch from their packed known rows."""
+    info = code.info_set
+    u = _assemble_inputs(code, trial_ids, master_seed)
+    y = _encode_batch(code.kernel, u)
+    np.copyto(y, np.uint8(Symbol.ERASED), where=_unpack_erased(rows, code.N))
+    u_hat, flags = decode_batch(code, y)
+    erased = flags[:, info] == 1
+    bad = erased | (u_hat[:, info] != u[:, info])
+    if not bad.any(axis=1).all():
+        raise AssertionError("screen flagged a frame the decoder resolved")
+    return int(bad.sum()), int(erased.sum())
+
+
 def run_monte_carlo(
     code: PolarCode,
     eps: float,
@@ -363,18 +383,19 @@ def run_monte_carlo(
         last = trials >= stop.max_trials or frame_errors >= stop.min_frame_errors
         pending = sum(ids.size for ids in pending_ids)
         if pending and (pending >= _DECODE_FRAMES or last):
-            u = _assemble_inputs(code, np.concatenate(pending_ids), master_seed)
-            y = _encode_batch(code.kernel, u)
-            erased = _unpack_erased(np.concatenate(pending_rows), n)
-            np.copyto(y, np.uint8(Symbol.ERASED), where=erased)
-            u_hat, flags = decode_batch(code, y)
+            # The spent chunk is not read again; free it before decoding.
+            del rows, known, frame_plane
+            ids, held = np.concatenate(pending_ids), np.concatenate(pending_rows)
             pending_ids.clear()
             pending_rows.clear()
-            bad = (flags[:, info] == 1) | (u_hat[:, info] != u[:, info])
-            if not bad.any(axis=1).all():
-                raise AssertionError("screen flagged a frame the decoder resolved")
-            bit_errors += int(bad.sum())
-            bit_erasures += int((flags[:, info] == 1).sum())
+            for a in range(0, pending, _DECODE_FRAMES):
+                b = a + _DECODE_FRAMES
+                errors, erasures = _decode_flagged(
+                    code, ids[a:b], held[a:b], master_seed
+                )
+                bit_errors += errors
+                bit_erasures += erasures
+            del ids, held
     return _report(
         code, eps, trials, bit_errors, bit_erasures, frame_errors, master_seed
     )

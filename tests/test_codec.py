@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -447,6 +449,23 @@ def test_batch_decode_equals_scalar_decode():
         res = sc_decode(code, ys[row])
         assert np.array_equal(res.u_hat, u_b[row])
         assert np.array_equal(res.erased_flags, f_b[row])
+
+
+def test_decode_batch_leaves_no_reference_cycle():
+    # With the cyclic collector off, the outputs must die with their last
+    # reference: nothing of the call (its recursive closure) may hold them.
+    code = PolarCode.construct(G101, 3, 13, 0.5)
+    ys = np.random.default_rng(5).integers(0, 3, (40, 27)).astype(np.uint8)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        u_hat, flags = decode_batch(code, ys)
+        refs = weakref.ref(u_hat), weakref.ref(flags)
+        del u_hat, flags
+        assert [r() is None for r in refs] == [True, True]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ------------------------------------------------------------ genie screen
