@@ -41,9 +41,10 @@ and the stop cut. The full decoder runs only on flagged frames: their trial
 ids and known rows are held back until at least _DECODE_FRAMES are pending,
 or the run ends. That flush first frees the spent chunk (its rows, planes
 and frame-error plane), then decodes the pending frames in batches of at
-most _DECODE_FRAMES, so its memory does not grow with how many frames one
-chunk flags. The tallies are exactly those of decoding every trial
-individually (verified in tests against the literal per-trial loop).
+most _DECODE_FRAMES frames and _DECODE_SYMBOLS symbols, so its memory grows
+neither with how many frames one chunk flags nor, beyond N = 16,384, with N.
+The tallies are exactly those of decoding every trial individually
+(verified in tests against the literal per-trial loop).
 """
 
 from __future__ import annotations
@@ -211,6 +212,11 @@ _BLOCK_SYMBOLS = 1 << 18
 #: takes; a flush frees the spent chunk, then decodes in batches of this size
 _DECODE_FRAMES = 1 << 10
 
+#: symbols one decode takes at most (but never fewer than one frame), so a
+#: flush's memory stops growing with N beyond N = 16,384; a smaller budget
+#: costs time, as each decode_batch call has a fixed cost of order N
+_DECODE_SYMBOLS = 1 << 24
+
 
 def _known_rows(
     master_seed: int, eps: float, n: int, trial_start: int, trials: int
@@ -350,6 +356,7 @@ def run_monte_carlo(
     _check_seed(master_seed)
     n, info, plan = code.N, code.info_set, _node_plan(code)
     n64 = -(-n // 64)
+    step = max(1, min(_DECODE_FRAMES, _DECODE_SYMBOLS // n))
     trials = frame_errors = bit_errors = bit_erasures = 0
     # Flagged trials and their known rows, not yet decoded.
     pending_ids: list[np.ndarray] = []
@@ -388,8 +395,8 @@ def run_monte_carlo(
             ids, held = np.concatenate(pending_ids), np.concatenate(pending_rows)
             pending_ids.clear()
             pending_rows.clear()
-            for a in range(0, pending, _DECODE_FRAMES):
-                b = a + _DECODE_FRAMES
+            for a in range(0, pending, step):
+                b = a + step
                 errors, erasures = _decode_flagged(
                     code, ids[a:b], held[a:b], master_seed
                 )

@@ -252,30 +252,82 @@ def test_bit_transpose_on_monte_carlo_shapes():
 def test_deferred_decoding_equals_direct_loop(monkeypatch, decode_frames):
     from polarkit import sim
 
-    calls = []
-    decode_batch = sim.decode_batch
+    # One event per chunk (the trial it starts at) and per decode (the trial
+    # ids it decodes), in call order.
+    events = []
+    known_rows, decode_flagged = sim._known_rows, sim._decode_flagged
 
-    def counting_decode(code, ys):
-        calls.append(ys.shape[0])
-        return decode_batch(code, ys)
+    def marking_rows(master_seed, eps, n, trial_start, trials):
+        events.append(("chunk", trial_start))
+        return known_rows(master_seed, eps, n, trial_start, trials)
+
+    def recording_decode(code, trial_ids, rows, master_seed):
+        events.append(("decode", trial_ids.copy()))
+        return decode_flagged(code, trial_ids, rows, master_seed)
 
     monkeypatch.setattr(sim, "_DECODE_FRAMES", decode_frames)
-    monkeypatch.setattr(sim, "decode_batch", counting_decode)
+    monkeypatch.setattr(sim, "_known_rows", marking_rows)
+    monkeypatch.setattr(sim, "_decode_flagged", recording_decode)
     code = PolarCode.construct(G2, 4, 8, 0.5)
     stop = StopRule(200, 2000)
     want = _run_direct(code, 0.6, stop, master_seed=21)
     assert want.frame_errors == 200
     for batch_size in (13, 64, None):
-        calls.clear()
+        events.clear()
         kwargs = {} if batch_size is None else {"batch_size": batch_size}
         got = run_monte_carlo(code, 0.6, stop, master_seed=21, **kwargs)
         assert got == want
-        assert sum(calls) == want.frame_errors
+        decoded = [ids for kind, ids in events if kind == "decode"]
+        flagged = np.concatenate(decoded)
+        assert flagged.size == want.frame_errors
+        assert np.unique(flagged).size == flagged.size
         # A flush decodes in batches of at most _DECODE_FRAMES, however many
         # frames are pending (with the default chunk, all 200 at once).
-        assert max(calls) <= decode_frames
+        assert max(ids.size for ids in decoded) <= decode_frames
         if decode_frames > want.frame_errors:
-            assert calls == [want.frame_errors]
+            assert [ids.size for ids in decoded] == [want.frame_errors]
+        # Flushes happen as the run goes: when a chunk starts, fewer than
+        # _DECODE_FRAMES flagged frames of the earlier chunks are still
+        # waiting (with a cap of 1, every chunk is decoded before the next).
+        done = 0
+        for kind, x in events:
+            if kind == "decode":
+                done += x.size
+            else:
+                waiting = np.count_nonzero(flagged < x) - done
+                assert 0 <= waiting < decode_frames
+
+
+@pytest.mark.parametrize(
+    "frames, symbols, cap", [(16, 1 << 24, 16), (1 << 10, 2600, 10)]
+)
+def test_flush_decodes_within_the_frame_and_symbol_caps(
+    monkeypatch, frames, symbols, cap
+):
+    # At rate 3/4 and eps 0.5 nearly every frame of a 512-trial chunk is
+    # flagged, far more than either cap lets one decode take (2,600 symbols
+    # are 10 frames of N = 256).
+    from polarkit import sim
+
+    code = PolarCode.construct(G2, 8, 192, 0.5)
+    stop = StopRule(1200, 1536)
+    want = run_monte_carlo(code, 0.5, stop, master_seed=8, batch_size=512)
+    assert want.frame_errors > 1000
+
+    sizes = []
+    decode_batch = sim.decode_batch
+
+    def counting_decode(code, ys):
+        sizes.append(ys.shape[0])
+        return decode_batch(code, ys)
+
+    monkeypatch.setattr(sim, "_DECODE_FRAMES", frames)
+    monkeypatch.setattr(sim, "_DECODE_SYMBOLS", symbols)
+    monkeypatch.setattr(sim, "decode_batch", counting_decode)
+    got = run_monte_carlo(code, 0.5, stop, master_seed=8, batch_size=512)
+    assert got == want
+    assert sum(sizes) == want.frame_errors
+    assert max(sizes) == cap
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
