@@ -211,9 +211,7 @@ def _check_spectrum_budget(
         )
 
 
-def evolve_spectrum(
-    k: Kernel, eps0: float, depth: int, max_size: int = _MAX_SPECTRUM_SIZE
-) -> Spectrum:
+def evolve_spectrum(k: Kernel, eps0: float, depth: int) -> Spectrum:
     """Erasure spectrum after `depth` recursive kernel applications.
 
     The last level of `_spectrum_levels` for a batch of one kernel; depth = 0
@@ -223,7 +221,7 @@ def evolve_spectrum(
         raise ValueError(f"design erasure rate must be in [0, 1], got {eps0}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    _check_spectrum_budget(k.l, depth, max_size)
+    _check_spectrum_budget(k.l, depth)
     z = np.array([[eps0]])
     for z in _spectrum_levels(batch_profiles([k.row_bits()], k.l), eps0, depth):
         pass

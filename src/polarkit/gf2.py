@@ -123,20 +123,6 @@ def solve(a, b):
     return x
 
 
-def null_space(a) -> np.ndarray:
-    """Basis for {x : A x = 0} over GF(2), returned as rows (possibly empty)."""
-    a = as_bits(a, 2)
-    cols = a.shape[1]
-    a, pivots = _row_reduce(a, cols)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = a[i, fc]
-    return basis
-
-
 def kron(a, b) -> np.ndarray:
     """Kronecker product over GF(2)."""
     return (np.kron(as_bits(a, 2), as_bits(b, 2)) & 1).astype(np.uint8)

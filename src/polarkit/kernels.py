@@ -29,6 +29,9 @@ _BLOCK_LANES = 1 << 16
 #: 4x4 matrix and every lower-triangular family up to 6x6
 _MAX_FAMILY_BITS = 16
 
+#: largest Kronecker power l^n the reference generators form
+_MAX_GENERATOR_SIZE = 4096
+
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
@@ -251,18 +254,19 @@ def enumerate_kernels(l: int, family: str = "all") -> Iterator[Kernel]:
     return (Kernel.from_row_bits(r) for r in family_rows(l, family))
 
 
-def kronecker_generator(k: Kernel, n: int, max_size: int = 4096) -> np.ndarray:
+def kronecker_generator(k: Kernel, n: int) -> np.ndarray:
     """The l^n x l^n matrix k^(x n) over GF(2); n = 0 gives the 1x1 identity.
 
     Reference oracle only: raises BudgetExceededError when l^n exceeds
-    `max_size`.
+    `_MAX_GENERATOR_SIZE`.
     """
     if n < 0:
         raise ValueError("recursion depth must be >= 0")
     size = k.l**n
-    if size > max_size:
+    if size > _MAX_GENERATOR_SIZE:
         raise BudgetExceededError(
-            f"Kronecker power of size {size} exceeds the budget of {max_size}"
+            f"Kronecker power of size {size} exceeds the budget of "
+            f"{_MAX_GENERATOR_SIZE}"
         )
     out = np.ones((1, 1), dtype=np.uint8)
     for _ in range(n):
@@ -284,11 +288,11 @@ def digit_reversal_permutation(l: int, n: int) -> np.ndarray:
     return np.arange(size, dtype=np.int64).reshape((l,) * n).transpose().reshape(size)
 
 
-def reference_generator(k: Kernel, n: int, max_size: int = 4096) -> np.ndarray:
+def reference_generator(k: Kernel, n: int) -> np.ndarray:
     """Generator matrix of the depth-n transform: digit-reversed Kronecker power.
 
     Row i is row digit_reversal(i) of k^(x n); multiplying an input row vector
     by this matrix reproduces the recursive encoder on all l^n inputs.
     """
-    gen = kronecker_generator(k, n, max_size=max_size)
+    gen = kronecker_generator(k, n)
     return gen[digit_reversal_permutation(k.l, n)]

@@ -22,10 +22,13 @@ straddles a word and the symbols are read in order from a view of the words
 (the words themselves for k = 64), with no index gather; for k = 1 with
 threshold 1 and N a multiple of 64 the rows are the raw words. A bit
 transpose turns a chunk's rows into one bitplane per output position, eight
-trials per byte. Chunks are cache-sized: by default 2**13 trials, so at
-N = 1024 a chunk's planes take 1 MB. The transpose runs the six delta-swap
-rounds of a 64x64 bit transpose over every tile of the chunk at once, with
-the tiles stored row-slab major so that each round works on contiguous runs.
+trials per byte. A chunk is min(_CHUNK_TRIALS, max(64, S // N rounded down
+to a multiple of 64)) trials, S being the symbol budget _BATCH_SYMBOLS
+(2**24): 2**13 trials up to N = 2048 (at N = 1024 a chunk's planes take
+1 MB), and at most S symbols once N > 2**18. The transpose runs the six
+delta-swap rounds of a 64x64 bit transpose over every tile of the chunk at
+once, with the tiles stored row-slab major so that each round works on
+contiguous runs.
 
 Most trials decode without any ambiguity, and over the BEC the frame-error
 event depends only on the erasure pattern: the first ambiguous information
@@ -41,7 +44,7 @@ and the stop cut. The full decoder runs only on flagged frames: their trial
 ids and known rows are held back until at least _DECODE_FRAMES are pending,
 or the run ends. That flush first frees the spent chunk (its rows, planes
 and frame-error plane), then decodes the pending frames in batches of at
-most _DECODE_FRAMES frames and _DECODE_SYMBOLS symbols, so its memory grows
+most _DECODE_FRAMES frames and _BATCH_SYMBOLS symbols, so its memory grows
 neither with how many frames one chunk flags nor, beyond N = 16,384, with N.
 The tallies are exactly those of decoding every trial individually
 (verified in tests against the literal per-trial loop).
@@ -142,11 +145,7 @@ class ReportComparison:
 
 
 def _subuniform(eps: float) -> tuple[int, int]:
-    """Bits per symbol and integer erasure threshold for a given eps."""
-    if eps <= 0.0:
-        return 1, 0
-    if eps >= 1.0:
-        return 1, 2
+    """Bits per symbol and integer erasure threshold for eps in [0, 1]."""
     num, den = float(eps).as_integer_ratio()  # den is a power of two
     for k in (1, 2, 4, 8, 16, 32, 64):
         if den <= (1 << k):
@@ -212,10 +211,14 @@ _BLOCK_SYMBOLS = 1 << 18
 #: takes; a flush frees the spent chunk, then decodes in batches of this size
 _DECODE_FRAMES = 1 << 10
 
-#: symbols one decode takes at most (but never fewer than one frame), so a
-#: flush's memory stops growing with N beyond N = 16,384; a smaller budget
-#: costs time, as each decode_batch call has a fixed cost of order N
-_DECODE_SYMBOLS = 1 << 24
+#: symbols one chunk or one decode takes at most (but never fewer than 64
+#: trials or one frame), so neither grows with N beyond N = 2**18 (a chunk)
+#: or N = 16,384 (a decode); a smaller budget costs time, as each
+#: decode_batch call has a fixed cost of order N
+_BATCH_SYMBOLS = 1 << 24
+
+#: trials per chunk at short lengths, where the symbol budget allows more
+_CHUNK_TRIALS = 1 << 13
 
 
 def _known_rows(
@@ -235,11 +238,6 @@ def _known_rows(
         return words.astype("<u8", copy=False).reshape(trials, n64)
     rows = np.zeros((trials, n64), dtype="<u8")
     row_bytes = rows.view(np.uint8)
-    if threshold == 1 << k:
-        return rows
-    if threshold == 0:
-        row_bytes[:, :n8] = np.packbits(np.ones(n, bool), bitorder="little")
-        return rows
     # k divides 64, so no symbol straddles a word: symbol s is element s of
     # the stream viewed as k-bit fields.
     per_word = 64 // k
@@ -294,14 +292,14 @@ def _message_bits(master_seed: int, trial_index: int, k: int) -> np.ndarray:
     return (gen.random(k) < 0.5).astype(np.uint8)
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion.
 
     Zero (or full) success counts yield an exact one-sided interval.
     """
     if trials <= 0:
         return 0.0, 1.0
-    p = successes / trials
+    p, z = successes / trials, _Z95
     denom = 1.0 + z * z / trials
     centre = p + z * z / (2 * trials)
     half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials))
@@ -336,43 +334,33 @@ def _decode_flagged(
 
 
 def run_monte_carlo(
-    code: PolarCode,
-    eps: float,
-    stop: StopRule,
-    master_seed: int,
-    batch_size: int = 1 << 13,
+    code: PolarCode, eps: float, stop: StopRule, master_seed: int
 ) -> SimReport:
     """Estimate BER/FER of a code on the BEC by seeded Monte Carlo.
 
     Repeats [draw information bits, encode, transmit, SC-decode, tally] until
     the stop rule fires, cutting exactly at the trial that records the
     min_frame_errors-th frame error. Results are byte-identical for identical
-    (code, eps, stop, master_seed) regardless of batch size.
+    (code, eps, stop, master_seed) regardless of chunk size.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {eps}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     _check_seed(master_seed)
-    n, info, plan = code.N, code.info_set, _node_plan(code)
+    n, plan = code.N, _node_plan(code)
     n64 = -(-n // 64)
-    step = max(1, min(_DECODE_FRAMES, _DECODE_SYMBOLS // n))
+    size = min(_CHUNK_TRIALS, max(64, (_BATCH_SYMBOLS // n) & ~63))
+    step = max(1, min(_DECODE_FRAMES, _BATCH_SYMBOLS // n))
     trials = frame_errors = bit_errors = bit_erasures = 0
     # Flagged trials and their known rows, not yet decoded.
     pending_ids: list[np.ndarray] = []
     pending_rows: list[np.ndarray] = []
     while trials < stop.max_trials and frame_errors < stop.min_frame_errors:
-        chunk = min(batch_size, stop.max_trials - trials)
-        if info.size:
-            padded = -(-chunk // 64) * 64
-            rows = _known_rows(master_seed, eps, n, trials, padded)
-            known = _bit_transpose(rows, padded, 64 * n64)[:n].view(np.uint8)
-            frame_plane = _screen_known_planes(code.kernel, plan, known)
-            frames = (
-                np.unpackbits(frame_plane, count=chunk, bitorder="little") == 1
-            )
-        else:
-            frames = np.zeros(chunk, dtype=bool)
+        chunk = min(size, stop.max_trials - trials)
+        padded = -(-chunk // 64) * 64
+        rows = _known_rows(master_seed, eps, n, trials, padded)
+        known = _bit_transpose(rows, padded, 64 * n64)[:n].view(np.uint8)
+        frame_plane = _screen_known_planes(code.kernel, plan, known)
+        frames = np.unpackbits(frame_plane, count=chunk, bitorder="little") == 1
         # The screen alone decides frame errors: cut exactly where the error
         # budget is exhausted.
         used = chunk

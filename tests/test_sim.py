@@ -81,27 +81,52 @@ def test_fast_path_equals_direct_loop_word_aligned():
         )
 
 
-def test_batch_size_does_not_change_results():
+def test_batch_size_does_not_change_results(monkeypatch):
+    from polarkit import sim
+
     code = PolarCode.construct(GE, 2, 4, 0.5)
     stop = StopRule(min_frame_errors=20, max_trials=500)
     a = run_monte_carlo(code, 0.5, stop, master_seed=5)
-    b = run_monte_carlo(code, 0.5, stop, master_seed=5, batch_size=13)
-    c = run_monte_carlo(code, 0.5, stop, master_seed=5, batch_size=499)
+    monkeypatch.setattr(sim, "_CHUNK_TRIALS", 13)
+    b = run_monte_carlo(code, 0.5, stop, master_seed=5)
+    monkeypatch.setattr(sim, "_CHUNK_TRIALS", 499)
+    c = run_monte_carlo(code, 0.5, stop, master_seed=5)
     assert a == b == c
 
 
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_run_monte_carlo_rejects_batch_size_below_one(batch_size, monkeypatch):
-    import polarkit.sim
+@pytest.mark.parametrize(
+    "kernel, depth, k, max_trials, want",
+    [
+        (G2, 10, 512, 8292, [8192, 128]),
+        # 2^24 symbols hold 7,671 trials of N = 2187, rounded down to 7,616.
+        (parse_kernel("100,110,111"), 7, 1093, 8000, [7616, 384]),
+        (G2, 16, 32768, 300, [256, 64]),
+    ],
+    ids=["N1024", "N2187", "N65536"],
+)
+def test_chunks_are_sized_from_the_code_length(
+    monkeypatch, kernel, depth, k, max_trials, want
+):
+    # A chunk is 2^13 trials at short lengths and at most 2^24 symbols at
+    # long ones, always a multiple of 64 trials (the last one padded up).
+    from polarkit import sim
 
-    def no_sampling(*args):
-        raise AssertionError("sampled before checking batch_size")
+    sizes = []
+    known_rows = sim._known_rows
 
-    monkeypatch.setattr(polarkit.sim, "_known_rows", no_sampling)
-    code = PolarCode.construct(G2, 3, 4, 0.5)
-    stop = StopRule(min_frame_errors=5, max_trials=100)
-    with pytest.raises(ValueError, match="batch_size"):
-        run_monte_carlo(code, 0.5, stop, master_seed=5, batch_size=batch_size)
+    def recording_rows(master_seed, eps, n, trial_start, trials):
+        sizes.append(trials)
+        return known_rows(master_seed, eps, n, trial_start, trials)
+
+    monkeypatch.setattr(sim, "_known_rows", recording_rows)
+    code = PolarCode.construct(kernel, depth, k, 0.3)
+    stop = StopRule(min_frame_errors=max_trials + 1, max_trials=max_trials)
+    got = run_monte_carlo(code, 0.3, stop, master_seed=4)
+    assert sizes == want
+    if code.N == 1 << 16:
+        # The report of the long code does not depend on its chunk size.
+        monkeypatch.setattr(sim, "_CHUNK_TRIALS", 13)
+        assert run_monte_carlo(code, 0.3, stop, master_seed=4) == got
 
 
 def test_reports_reproducible():
@@ -272,10 +297,10 @@ def test_deferred_decoding_equals_direct_loop(monkeypatch, decode_frames):
     stop = StopRule(200, 2000)
     want = _run_direct(code, 0.6, stop, master_seed=21)
     assert want.frame_errors == 200
-    for batch_size in (13, 64, None):
+    for chunk_trials in (13, 64, sim._CHUNK_TRIALS):
         events.clear()
-        kwargs = {} if batch_size is None else {"batch_size": batch_size}
-        got = run_monte_carlo(code, 0.6, stop, master_seed=21, **kwargs)
+        monkeypatch.setattr(sim, "_CHUNK_TRIALS", chunk_trials)
+        got = run_monte_carlo(code, 0.6, stop, master_seed=21)
         assert got == want
         decoded = [ids for kind, ids in events if kind == "decode"]
         flagged = np.concatenate(decoded)
@@ -306,12 +331,13 @@ def test_flush_decodes_within_the_frame_and_symbol_caps(
 ):
     # At rate 3/4 and eps 0.5 nearly every frame of a 512-trial chunk is
     # flagged, far more than either cap lets one decode take (2,600 symbols
-    # are 10 frames of N = 256).
+    # are 10 frames of N = 256, and shrink the chunks to 64 trials).
     from polarkit import sim
 
+    monkeypatch.setattr(sim, "_CHUNK_TRIALS", 512)
     code = PolarCode.construct(G2, 8, 192, 0.5)
     stop = StopRule(1200, 1536)
-    want = run_monte_carlo(code, 0.5, stop, master_seed=8, batch_size=512)
+    want = run_monte_carlo(code, 0.5, stop, master_seed=8)
     assert want.frame_errors > 1000
 
     sizes = []
@@ -322,9 +348,9 @@ def test_flush_decodes_within_the_frame_and_symbol_caps(
         return decode_batch(code, ys)
 
     monkeypatch.setattr(sim, "_DECODE_FRAMES", frames)
-    monkeypatch.setattr(sim, "_DECODE_SYMBOLS", symbols)
+    monkeypatch.setattr(sim, "_BATCH_SYMBOLS", symbols)
     monkeypatch.setattr(sim, "decode_batch", counting_decode)
-    got = run_monte_carlo(code, 0.5, stop, master_seed=8, batch_size=512)
+    got = run_monte_carlo(code, 0.5, stop, master_seed=8)
     assert got == want
     assert sum(sizes) == want.frame_errors
     assert max(sizes) == cap
