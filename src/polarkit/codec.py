@@ -16,13 +16,14 @@ already-decided part of every column. Over the BEC every message is a known
 0, a known 1 or an erasure. A node whose inputs are all frozen is not
 descended into: its re-encoding is that of the frozen values (Alamdar-Yazdi
 and Kschischang, IEEE Comm. Letters 2011), computed once per code in the
-code's node plan. A node whose inputs are all information bits is a leaf
-when every frame of the batch either knows all of its messages or is
-poisoned (see below): the decisions are the messages times the inverse
-kernel power, and the re-encoding is the messages themselves (the rate-1
-node of Sarkis et al., "Fast polar decoders", IEEE JSAC 2014). Otherwise the
-whole batch descends; descending only the frames with an erased message
-measured slower.
+code's node plan. Any other node of size m > 1 is a leaf when every frame
+of the batch is poisoned (see below) or knows all m messages, and no live
+frame's u, the messages times the inverse kernel power, differs from a
+frozen value at a frozen input of the node (that frame would be poisoned
+deeper in the tree): the live frames decide u, and the re-encoding is the
+messages. This generalises the rate-1 node of Sarkis et al. ("Fast polar
+decoders", IEEE JSAC 2014). Otherwise the whole batch descends; descending
+only the frames with an erased message measured slower.
 
 A node packs the l message columns of each kernel operation into words in
 the narrowest dtype that holds l + 1 bits (uint8 for l < 8, uint16 up to
@@ -244,17 +245,15 @@ def _kron_encode(g: np.ndarray, u: np.ndarray) -> np.ndarray:
     the column index in turn.
     """
     l = g.shape[0]
-    # A C-ordered copy: the reshapes below must be views, or the XORs would
-    # land in copies.
-    x = u.astype(np.uint8, order="C")
-    if u.shape[1] == 1:
-        return x
+    # A C-ordered copy, frames last: the reshapes below are views (the XORs
+    # land in x and y), and each XOR runs over step * B contiguous bytes.
+    x = u.T.astype(np.uint8, order="C")
     # Output column c of each block is the XOR of the input rows r with
     # g[r, c] = 1.
     sources = [[r for r, bit in enumerate(col) if bit] for col in g.T.tolist()]
     y = np.empty_like(x)
-    step = 1
-    while step < u.shape[1]:
+    step = u.shape[0]
+    while step < x.size:
         xb, yb = x.reshape(-1, l, step), y.reshape(-1, l, step)
         for c, rs in enumerate(sources):
             out = yb[:, c]
@@ -266,7 +265,7 @@ def _kron_encode(g: np.ndarray, u: np.ndarray) -> np.ndarray:
                 np.bitwise_xor(out, xb[:, r], out=out)
         x, y = y, x
         step *= l
-    return x.reshape(u.shape)
+    return np.ascontiguousarray(x.T)
 
 
 def _encode_batch(kernel: Kernel, bits: np.ndarray) -> np.ndarray:
@@ -373,7 +372,7 @@ def kernel_step_decide(k: Kernel, pos: int, prior, observed) -> Symbol:
 # per-code node plan
 
 #: node classes: every input frozen, every input information, or both kinds
-_RATE0, _RATE1, _MIXED = 0, 1, 2
+_RATE0, _RATE1, _MIXED = np.int8(0), np.int8(1), np.int8(2)
 
 
 class _ScreenLevel(NamedTuple):
@@ -381,32 +380,32 @@ class _ScreenLevel(NamedTuple):
 
     Child t of kept node p has index p*l + t. `parents[t]` is the slice of
     kept nodes whose output t is computed, from the first to the last whose
-    child t is not rate-0, or None when every child t is; `rate1` lists the
+    child t is not rate-0, or None when every child t is; `info` lists the
     rate-1 children, or is None if there are none; `mixed` lists the
     children kept for the next level, or is None when every child is kept.
     """
 
     parents: tuple[slice | None, ...]
-    rate1: np.ndarray | None
+    info: np.ndarray | None
     mixed: np.ndarray | None
 
 
 class _NodePlan(NamedTuple):
-    """Node classes of a code's decoding tree, derived once per code.
+    """Node classes of a code's decoding tree, in arrays, once per code.
 
     Node i at level k covers inputs i*S..(i+1)*S-1, S = N / l^k. `root` is
     the class of the whole code and `levels` drive the pruned screen.
-    `rate0` maps (first input, S) of each rate-0 node whose parent is not
-    rate-0, the ones the decoder reaches, to the (1, S) re-encoding of its
-    frozen values. `rate1` holds (first input, S) of every rate-1 node with
-    S > 1, and `inverse` is the inverse kernel matrix, with which the decoder
-    inverts such a node's messages.
+    `rate0[k]` marks the rate-0 nodes of level k whose parent is not rate-0,
+    the ones the decoder reaches. Their input ranges are disjoint, so the
+    (N,) array `encoded` holds over each one the re-encoding of its frozen
+    values (and 0 elsewhere). `inverse` is the inverse kernel matrix, with
+    which the decoder inverts a node's known messages.
     """
 
     root: int
     levels: tuple[_ScreenLevel, ...]
-    rate0: dict[tuple[int, int], np.ndarray]
-    rate1: frozenset[tuple[int, int]]
+    rate0: tuple[np.ndarray, ...]
+    encoded: np.ndarray
     inverse: np.ndarray
 
 
@@ -417,29 +416,21 @@ def _node_plan(code: PolarCode) -> _NodePlan:
     # before the plan or any channel work.
     _check_table_size(l)
     sizes = [n // l**k for k in range(code.depth + 1)]
-    classes = []
+    classes, rate0 = [], []
+    encoded = np.zeros(n, dtype=np.uint8)
     for size in sizes:
         frozen = code.frozen_mask.reshape(-1, size).sum(axis=1, dtype=np.int64)
-        classes.append(
-            np.where(frozen == size, _RATE0, np.where(frozen == 0, _RATE1, _MIXED))
-        )
-    rate0 = {}
-    rate1_nodes = frozenset(
-        (i * size, size)
-        for size, cls in zip(sizes[:-1], classes)
-        for i in np.flatnonzero(cls == _RATE1).tolist()
-    )
-    for k, (size, cls) in enumerate(zip(sizes, classes)):
+        cls = np.where(frozen == size, _RATE0, np.where(frozen == 0, _RATE1, _MIXED))
         reached = cls == _RATE0
-        if k:
-            reached &= np.repeat(classes[k - 1] != _RATE0, l)
+        if classes:
+            reached &= np.repeat(classes[-1] != _RATE0, l)
         ids = np.flatnonzero(reached)
-        if ids.size:
-            values = code.frozen_values.reshape(-1, size)[ids]
-            enc = _kron_encode(code.kernel.matrix, values)
-            enc.setflags(write=False)
-            for i, row in zip(ids.tolist(), enc):
-                rate0[(i * size, size)] = row[None]
+        values = code.frozen_values.reshape(-1, size)[ids]
+        encoded.reshape(-1, size)[ids] = _kron_encode(code.kernel.matrix, values)
+        reached.setflags(write=False)
+        classes.append(cls)
+        rate0.append(reached)
+    encoded.setflags(write=False)
     levels = []
     kept = np.flatnonzero(classes[0] == _MIXED)
     for cls in classes[1:]:
@@ -447,7 +438,7 @@ def _node_plan(code: PolarCode) -> _NodePlan:
             break
         children = (kept[:, None] * l + np.arange(l)).reshape(-1)
         child_cls = cls[children]
-        rate1 = np.flatnonzero(child_cls == _RATE1)
+        info = np.flatnonzero(child_cls == _RATE1)
         mixed = np.flatnonzero(child_cls == _MIXED)
         parents = []
         for t in range(l):
@@ -456,7 +447,7 @@ def _node_plan(code: PolarCode) -> _NodePlan:
         levels.append(
             _ScreenLevel(
                 parents=tuple(parents),
-                rate1=rate1 if rate1.size else None,
+                info=info if info.size else None,
                 mixed=None if mixed.size == children.size else mixed,
             )
         )
@@ -465,13 +456,7 @@ def _node_plan(code: PolarCode) -> _NodePlan:
     g = code.kernel.matrix
     inverse = np.array([gf2.solve(g.T, e) for e in np.eye(l, dtype=np.uint8)])
     inverse.setflags(write=False)
-    return _NodePlan(
-        root=int(classes[0][0]),
-        levels=tuple(levels),
-        rate0=rate0,
-        rate1=rate1_nodes,
-        inverse=inverse,
-    )
+    return _NodePlan(int(classes[0][0]), tuple(levels), tuple(rate0), encoded, inverse)
 
 
 # --------------------------------------------------------------------------
@@ -497,10 +482,10 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Vectorised sc_decode over a (B, N) symbol batch -> (u_hat, flags).
 
     Each call builds its own decoder state (the decision tables are cached
-    per kernel; the read-only rate-0 re-encodings, rate-1 nodes and inverse
-    kernel per code in its `_node_plan`), so concurrent decodes of one code
-    need no coordination. Raises ValueError unless every symbol is 0, 1 or
-    2 (erased).
+    per kernel; the read-only rate-0 re-encodings and inverse kernel per
+    code in its `_node_plan`), so concurrent decodes of one code need no
+    coordination. Raises ValueError unless every symbol is 0, 1 or 2
+    (erased).
     """
     ys = np.asarray(ys)
     if ys.ndim != 2 or ys.shape[1] != code.N:
@@ -521,19 +506,33 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     row_bits = np.array(code.kernel.row_bits(), dtype=narrow)
     shifts = np.arange(l, dtype=narrow)[:, None]
     observed = narrow(1 << l)
-    values = code.frozen_values
+    values, frozen = code.frozen_values, code.frozen_mask == 1
     u_hat = np.empty((batch, code.N), dtype=np.uint8)
     flags = np.zeros((batch, code.N), dtype=np.uint8)
     poison = np.zeros(batch, dtype=bool)
 
-    def rec(msg: np.ndarray, lo: int) -> np.ndarray:
-        """Decode inputs lo..lo+m-1 from their m messages; return the
-        re-encoding of the decisions (rows broadcast against the batch)."""
+    def leaf(msg: np.ndarray, lo: int) -> np.ndarray | None:
+        """The inputs from lo on that encode to the messages `msg`, or None if
+        a live frame has an erased message or a clash with a frozen value."""
+        live = ~poison
+        if msg[live].max(initial=0) > 1:
+            return None
+        decided = _kron_encode(plan.inverse, msg)
+        cols = np.flatnonzero(frozen[lo : lo + msg.shape[1]])
+        if cols.size:  # a rate-1 node has nothing to clash with
+            clash = (decided[:, cols] != values[lo + cols]).any(axis=1)
+            if (live & clash).any():
+                return None
+        return decided
+
+    def rec(msg: np.ndarray, lo: int, k: int) -> np.ndarray:
+        """Decode inputs lo..lo+m-1 (level k) from their m messages; return
+        the re-encoding of the decisions (rows broadcast against the batch)."""
         nonlocal poison
         m = msg.shape[1]
-        enc = plan.rate0.get((lo, m))
-        if enc is not None:
+        if plan.rate0[k][lo // m]:
             # Rate-0 subtree: the decisions are the frozen values.
+            enc = plan.encoded[lo : lo + m]
             u_hat[:, lo : lo + m] = values[lo : lo + m]
             poison |= ((msg <= 1) & (msg != enc)).any(axis=1)
             return enc
@@ -543,13 +542,14 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
             u_hat[:, lo] = np.where(flag, 0, bit)
             flags[:, lo] = flag
             return u_hat[:, lo : lo + 1]
-        if (lo, m) in plan.rate1 and (poison | (msg.max(axis=1) <= 1)).all():
-            # Rate-1 leaf: a frame that knows every message decides the
-            # inputs that encode to them, unflagged. A poisoned frame decides
-            # 0, flagged; its re-encoding is never read again.
-            decided = _kron_encode(plan.inverse, msg)
-            u_hat[:, lo : lo + m] = np.where(poison[:, None], 0, decided)
-            flags[:, lo : lo + m] = poison[:, None]
+        # Known-message leaf, tested on one live frame (if any) first, so a
+        # batch seldom pays O(B m) where it descends.
+        j = int(np.argmin(poison))
+        decided = leaf(msg, lo) if poison[j] or msg[j].max() <= 1 else None
+        if decided is not None:
+            decided[poison] = values[lo : lo + m]
+            u_hat[:, lo : lo + m] = decided
+            flags[poison, lo : lo + m] = ~frozen[lo : lo + m]
             return msg
         v = msg.reshape(batch, l, m // l)
         kappa = ((v <= 1).astype(narrow) << shifts).sum(axis=1, dtype=narrow)
@@ -558,12 +558,12 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
         prior = np.zeros_like(kappa)
         for t in range(l):
             child = par[lamx[t][kappa] & (obs ^ prior)]
-            prior ^= rec(child, lo + t * (m // l)) * row_bits[t]
+            prior ^= rec(child, lo + t * (m // l), k + 1) * row_bits[t]
         unpacked = (prior[:, None, :] >> shifts) & 1
         return unpacked.astype(np.uint8, copy=False).reshape(batch, m)
 
     try:
-        rec(ys[:, digit_reversal_permutation(l, code.depth)], 0)
+        rec(ys[:, digit_reversal_permutation(l, code.depth)], 0, 0)
     finally:
         # rec's closure refers to rec itself; without this the cycle would
         # keep this call's arrays alive until the cyclic collector runs.
@@ -580,13 +580,12 @@ def sc_decode(code: PolarCode, y) -> DecodeResult:
     y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != code.N:
         raise ValueError(f"expected {code.N} received symbols, got shape {y.shape}")
-    u_hat, flags = decode_batch(code, y[None, :])
-    info = code.info_set
-    return DecodeResult(
-        u_hat=u_hat[0],
-        erased_flags=flags[0],
-        frame_erased=bool(flags[0][info].any()) if info.size else False,
-    )
+    return _first_result(code, *decode_batch(code, y[None, :]))
+
+
+def _first_result(code: PolarCode, u_hat: np.ndarray, flags: np.ndarray):
+    """The DecodeResult of the first frame of a decoded batch."""
+    return DecodeResult(u_hat[0], flags[0], bool(flags[0][code.info_set].any()))
 
 
 # --------------------------------------------------------------------------
@@ -638,13 +637,7 @@ def map_oracle_decode(code: PolarCode, y) -> DecodeResult:
     y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != code.N:
         raise ValueError(f"expected {code.N} received symbols, got shape {y.shape}")
-    u_hat, flags = _map_decode_batch(code, _symbols(y)[None, :])
-    info = code.info_set
-    return DecodeResult(
-        u_hat=u_hat[0],
-        erased_flags=flags[0],
-        frame_erased=bool(flags[0][info].any()) if info.size else False,
-    )
+    return _first_result(code, *_map_decode_batch(code, _symbols(y)[None, :]))
 
 
 # --------------------------------------------------------------------------
@@ -747,7 +740,7 @@ def _screen_levels(kernel: Kernel, levels, planes: np.ndarray):
     src = planes.reshape(-1)
     dst = np.empty_like(src)
     scratch = np.empty(src.size // l, dtype=planes.dtype)
-    rate1_known = np.full(width, ~planes.dtype.type(0), dtype=planes.dtype)
+    info_known = np.full(width, ~planes.dtype.type(0), dtype=planes.dtype)
     nodes, size = 1, n
     for level in levels:
         span = nodes * size * width
@@ -758,11 +751,11 @@ def _screen_levels(kernel: Kernel, levels, planes: np.ndarray):
         size //= l
         # mode="clip" lets take() write straight into `out=` (the indices
         # are all in range); mode="raise" would buffer the copy.
-        if level.rate1 is not None:
-            gathered = src[: level.rate1.size * size * width]
-            gathered = gathered.reshape(level.rate1.size, size, width)
-            np.take(children, level.rate1, axis=0, out=gathered, mode="clip")
-            rate1_known &= np.bitwise_and.reduce(gathered.reshape(-1, width), axis=0)
+        if level.info is not None:
+            gathered = src[: level.info.size * size * width]
+            gathered = gathered.reshape(level.info.size, size, width)
+            np.take(children, level.info, axis=0, out=gathered, mode="clip")
+            info_known &= np.bitwise_and.reduce(gathered.reshape(-1, width), axis=0)
         if level.mixed is None:
             nodes *= l
             src, dst = dst, src
@@ -770,7 +763,7 @@ def _screen_levels(kernel: Kernel, levels, planes: np.ndarray):
             nodes = level.mixed.size
             kept = src[: nodes * size * width].reshape(nodes, size, width)
             np.take(children, level.mixed, axis=0, out=kept, mode="clip")
-    return rate1_known, src[: nodes * size * width].reshape(nodes * size, width)
+    return info_known, src[: nodes * size * width].reshape(nodes * size, width)
 
 
 def _screen_positions(kernel: Kernel, depth: int, known: np.ndarray) -> np.ndarray:
@@ -783,7 +776,7 @@ def _screen_positions(kernel: Kernel, depth: int, known: np.ndarray) -> np.ndarr
     The result depends only on the erasure pattern, not on transmitted
     values.
     """
-    keep_all = _ScreenLevel((slice(None),) * kernel.l, rate1=None, mixed=None)
+    keep_all = _ScreenLevel((slice(None),) * kernel.l, info=None, mixed=None)
     return _screen_levels(kernel, (keep_all,) * depth, known)[1]
 
 

@@ -309,10 +309,16 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 def _assemble_inputs(code: PolarCode, trial_indices, master_seed: int) -> np.ndarray:
+    """Rows of frozen values and `_message_bits`, from one Philox rekeyed
+    per trial; a double below 0.5 is a raw word with its top bit clear."""
     u = np.tile(code.frozen_values, (len(trial_indices), 1))
     info = code.info_set
+    bg = np.random.Philox(0)
+    state = bg.state  # counter 0 and an empty buffer, as when new
     for row, j in enumerate(trial_indices):
-        u[row, info] = _message_bits(master_seed, int(j), info.size)
+        state["state"]["key"] = np.array([master_seed, j], dtype=np.uint64)
+        bg.state = state
+        u[row, info] = bg.random_raw(info.size) >> 63 == 0
     return u
 
 

@@ -821,3 +821,62 @@ def test_sc_matches_map_with_rate1_leaves(kernel, depth, random_masks, frames):
         vals = rng.integers(0, 2, n, dtype=np.uint8) * mask
         code = PolarCode(kernel=kernel, depth=depth, frozen_mask=mask, frozen_values=vals)
         assert_sc_matches_map(code, oracle_batches(code, rng, frames))
+
+
+# ------------------------------------------- decoder: known-message leaves
+
+LEAF_FRAMES = ("known", "erased", "contradicting", "contradicting-erased", "random")
+
+
+@st.composite
+def leaf_batches(draw, codes):
+    """A code with a random frozen set (at least one frozen input) and random
+    frozen values, and a batch that mixes honest words with and without
+    erasures, random symbols, and words of an input with one frozen value
+    flipped. Such a word is live and knows its messages at every node above
+    the flipped input, yet contradicts a frozen value there, so the leaf
+    rule must descend; after that input it is poisoned. Every batch holds
+    one such erasure-free word."""
+    kernel, depth = draw(st.sampled_from(codes))
+    kinds = draw(st.lists(st.sampled_from(LEAF_FRAMES), max_size=6))
+    kinds.insert(draw(st.integers(0, len(kinds))), "contradicting")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = kernel.l**depth
+    mask = (rng.random(n) < rng.random()).astype(np.uint8)
+    mask[rng.integers(n)] = 1
+    values = rng.integers(0, 2, n, dtype=np.uint8) * mask
+    code = PolarCode(kernel=kernel, depth=depth, frozen_mask=mask, frozen_values=values)
+    rows = []
+    for kind in kinds:
+        u = values.copy()
+        u[code.info_set] = rng.integers(0, 2, code.K)
+        if kind.startswith("contradicting"):
+            u[rng.choice(np.flatnonzero(mask))] ^= 1
+        y = _encode_batch(kernel, u[None])[0]
+        if kind.endswith("erased"):
+            y[rng.random(n) < rng.random()] = Symbol.ERASED
+        if kind == "random":
+            y = rng.integers(0, 3, n).astype(np.uint8)
+        rows.append(y)
+    return code, np.array(rows, dtype=np.uint8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(leaf_batches([(G2, 2), (G2, 3), (G101, 1), (GE, 1)]))
+def test_known_message_leaves_match_map(case):
+    code, ys = case
+    u_sc, f_sc = decode_batch(code, ys)
+    u_mp, f_mp = _map_decode_batch(code, ys)
+    assert np.array_equal(u_sc, u_mp)
+    assert np.array_equal(f_sc, f_mp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(leaf_batches([(G2, 6), (G101, 4), (GE, 3)]))
+def test_known_message_leaves_batch_rows_equal_single_frames(case):
+    code, ys = case
+    u_b, f_b = decode_batch(code, ys)
+    for row in range(ys.shape[0]):
+        u_one, f_one = decode_batch(code, ys[row : row + 1])
+        assert np.array_equal(u_one[0], u_b[row])
+        assert np.array_equal(f_one[0], f_b[row])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from polarkit import PolarCode, parse_kernel
 from polarkit.codec import (
+    _kron_encode,
     _node_plan,
     _screen_known_planes,
     _screen_positions,
@@ -128,9 +129,21 @@ def test_pruned_screen_on_channel_chunk_of_non_word_aligned_code(k):
 
 
 def test_node_plan_is_computed_once_per_code():
-    code = PolarCode.construct(GE, 3, 20, 0.5)
+    frozen_bits = np.random.default_rng(3).integers(0, 2, 64 - 20)
+    code = PolarCode.construct(GE, 3, 20, 0.5, frozen_bits=frozen_bits)
     assert _node_plan(code) is _node_plan(code)
     plan = _node_plan(code)
-    for (lo, size), enc in plan.rate0.items():
-        assert code.frozen_mask[lo : lo + size].all()
-        assert enc.shape == (1, size) and not enc.flags.writeable
+    assert not plan.encoded.flags.writeable
+    covered = np.zeros(code.N, dtype=int)
+    for marks in plan.rate0:
+        size = code.N // marks.size
+        assert not marks.flags.writeable
+        for lo in np.flatnonzero(marks) * size:
+            assert code.frozen_mask[lo : lo + size].all()
+            values = code.frozen_values[None, lo : lo + size]
+            expected = _kron_encode(code.kernel.matrix, values)[0]
+            assert np.array_equal(plan.encoded[lo : lo + size], expected)
+            covered[lo : lo + size] += 1
+    # The reached rate-0 nodes are disjoint, and nothing else is encoded.
+    assert covered.max() == 1 and not plan.encoded[covered == 0].any()
+    assert plan.encoded.any()

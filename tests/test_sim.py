@@ -11,7 +11,7 @@ from polarkit import (
     run_monte_carlo,
     wilson_interval,
 )
-from polarkit.sim import _run_direct, sim_csv_text
+from polarkit.sim import _assemble_inputs, _message_bits, _run_direct, sim_csv_text
 
 G2 = parse_kernel("10,11")
 GE = parse_kernel("1000,1001,0101,1111")
@@ -52,6 +52,23 @@ def test_transmit_deterministic_per_trial():
 def test_transmit_rejects_bad_eps():
     with pytest.raises(ValueError):
         BecChannel(1.5, 0, 0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 8])
+def test_assembled_inputs_are_the_per_trial_message_bits(k):
+    # K = 5 leaves part of Philox's four-word buffer unread before the next
+    # trial; trial ids and the seed reach the top of the 64-bit key range.
+    rng = np.random.default_rng(k)
+    mask = np.ones(16, np.uint8)
+    mask[rng.choice(16, k, replace=False)] = 0
+    values = rng.integers(0, 2, 16, dtype=np.uint8) * mask
+    code = PolarCode(kernel=G2, depth=4, frozen_mask=mask, frozen_values=values)
+    ids = [2**64 - 1, 0, 2**64 - 2, 7, 2**63, 2**64 - 1]
+    for seed in (0, 2**64 - 1):
+        u = _assemble_inputs(code, ids, seed)
+        assert np.array_equal(u[:, mask == 1], np.tile(values[mask == 1], (6, 1)))
+        bits = np.array([_message_bits(seed, j, k) for j in ids]).reshape(6, k)
+        assert np.array_equal(u[:, code.info_set], bits)
 
 
 def test_wilson_interval_basic():
