@@ -336,8 +336,9 @@ def execute(ns: argparse.Namespace) -> int:
     except (UsageError, KernelFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (BudgetExceededError, MemoryError, OSError, ValueError) as exc:
+        # a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

@@ -492,6 +492,8 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"expected shape (B, {code.N}), got {ys.shape}")
     ys = _symbols(ys)
     l, batch = code.kernel.l, ys.shape[0]
+    if not batch:
+        return np.zeros((0, code.N), np.uint8), np.zeros((0, code.N), np.uint8)
     plan = _node_plan(code)
     # Child tables over (l + 1)-bit values: lamx[t, kappa] is LAM where u_t
     # is determined and bit l alone where it is not; par maps a value to the

@@ -20,10 +20,16 @@ trial-major packed "known" rows (bit p of a row set iff symbol p arrived,
 rows padded to whole 64-bit words). Each k divides 64, so no subuniform
 straddles a word and the symbols are read in order from a view of the words
 (the words themselves for k = 64), with no index gather; for k = 1 with
-threshold 1 and N a multiple of 64 the rows are the raw words. A bit
-transpose turns a chunk's rows into one bitplane per output position, eight
-trials per byte. A chunk is min(_CHUNK_TRIALS, max(64, S // N rounded down
-to a multiple of 64)) trials, S being the symbol budget _BATCH_SYMBOLS
+threshold 1 and N a multiple of 64 the rows are the raw words. Otherwise the
+rows are filled in sub-blocks of at most _BLOCK_SYMBOLS (2**16) symbols:
+whole trials up to N = 2**16, else segments of one row, each a multiple of
+64 symbols. A call with two or more sub-blocks fills the first half of them
+on a helper thread while the caller fills the rest; each sub-block draws its
+own words from the keyed stream, so the rows do not depend on the split.
+
+A bit transpose turns a chunk's rows into one bitplane per output position,
+eight trials per byte. A chunk is min(_CHUNK_TRIALS, max(64, S // N rounded
+down to a multiple of 64)) trials, S being the symbol budget _BATCH_SYMBOLS
 (2**24): 2**13 trials up to N = 2048 (at N = 1024 a chunk's planes take
 1 MB), and at most S symbols once N > 2**18. The transpose runs the six
 delta-swap rounds of a 64x64 bit transpose over every tile of the chunk at
@@ -53,6 +59,7 @@ The tallies are exactly those of decoding every trial individually
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,8 +211,10 @@ def _bit_transpose(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return x.transpose(2, 0, 1).reshape(cols, tiles)
 
 
-#: symbols sampled per sub-block of _known_rows; bounds its temporaries
-_BLOCK_SYMBOLS = 1 << 18
+#: symbols sampled per sub-block of _known_rows; bounds its temporaries (a
+#: sub-block is whole trials up to N = _BLOCK_SYMBOLS, else a segment of one
+#: trial's row, a multiple of 64 symbols long)
+_BLOCK_SYMBOLS = 1 << 16
 
 #: flagged frames held back before a flush, and the most frames one decode
 #: takes; a flush frees the spent chunk, then decodes in batches of this size
@@ -231,7 +240,7 @@ def _known_rows(
     are clear.
     """
     k, threshold = _subuniform(eps)
-    n64, n8 = -(-n // 64), -(-n // 8)
+    n64 = -(-n // 64)
     if k == 1 and threshold == 1 and n % 64 == 0:
         # The known bits are the raw channel bits, already in row order.
         words = _channel_words(master_seed, trial_start * n // 64, trials * n64)
@@ -241,28 +250,72 @@ def _known_rows(
     # k divides 64, so no symbol straddles a word: symbol s is element s of
     # the stream viewed as k-bit fields.
     per_word = 64 // k
-    step = max(1, _BLOCK_SYMBOLS // max(n, 1))
-    for a in range(0, trials, step):
-        b = min(trials, a + step)
-        s0, count = (trial_start + a) * n, (b - a) * n
-        w0 = s0 // per_word
-        words = _channel_words(master_seed, w0, -(-(s0 + count) // per_word) - w0)
-        words = words.astype("<u8", copy=False)
-        lo = s0 - w0 * per_word
-        if k >= 8:
-            vals = words.view(f"<u{k // 8}")[lo : lo + count]
-        elif k == 1:
-            vals = np.unpackbits(words.view(np.uint8), bitorder="little")
-            vals = vals[lo : lo + count]
-        else:
-            shifts = np.arange(0, 8, k, dtype=np.uint8)
-            fields = (words.view(np.uint8)[:, None] >> shifts) & np.uint8((1 << k) - 1)
-            vals = fields.reshape(-1)[lo : lo + count]
-        known = (vals >= vals.dtype.type(threshold)).reshape(b - a, n)
-        row_bytes[a:b, :n8] = np.packbits(known, axis=1, bitorder="little")
-        # Free this block before the next one is drawn.
-        del words, vals, known
+
+    def fill(blocks: list[tuple[int, int, int, int]]) -> None:
+        """Write the known bits of each sub-block into its bytes of rows."""
+        for a, b, p0, p1 in blocks:
+            width = p1 - p0
+            s0, count = (trial_start + a) * n + p0, (b - a) * width
+            w0 = s0 // per_word
+            words = _channel_words(master_seed, w0, -(-(s0 + count) // per_word) - w0)
+            words = words.astype("<u8", copy=False)
+            lo = s0 - w0 * per_word
+            if k >= 8:
+                vals = words.view(f"<u{k // 8}")[lo : lo + count]
+            elif k == 1:
+                vals = np.unpackbits(words.view(np.uint8), bitorder="little")
+                vals = vals[lo : lo + count]
+            else:
+                shifts = np.arange(0, 8, k, dtype=np.uint8)
+                fields = words.view(np.uint8)[:, None] >> shifts
+                fields &= np.uint8((1 << k) - 1)
+                vals = fields.reshape(-1)[lo : lo + count]
+            known = (vals >= vals.dtype.type(threshold)).reshape(b - a, width)
+            c0 = p0 // 8
+            row_bytes[a:b, c0 : c0 + -(-width // 8)] = np.packbits(
+                known, axis=1, bitorder="little"
+            )
+            # Free this block before the next one is drawn.
+            del words, vals, known
+
+    blocks = _sub_blocks(n, trials)
+    if len(blocks) < 2:
+        fill(blocks)
+        return rows
+    # Each sub-block draws its own words and writes its own bytes, so the two
+    # halves run at once: a helper thread fills the first while this thread
+    # fills the second (Philox releases the GIL while it draws).
+    half = len(blocks) // 2
+    errors: list[BaseException] = []
+
+    def fill_first_half() -> None:
+        try:
+            fill(blocks[:half])
+        except BaseException as exc:  # re-raised below, in the calling thread
+            errors.append(exc)
+
+    helper = threading.Thread(target=fill_first_half, name="known-rows")
+    helper.start()
+    try:
+        fill(blocks[half:])
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
     return rows
+
+
+def _sub_blocks(n: int, trials: int) -> list[tuple[int, int, int, int]]:
+    """Sub-blocks (a, b, p0, p1) of `trials` rows of n symbols: symbols
+    [p0, p1) of trials [a, b), contiguous in the stream, in stream order."""
+    if n <= _BLOCK_SYMBOLS:
+        step = _BLOCK_SYMBOLS // max(n, 1)
+        return [(a, min(trials, a + step), 0, n) for a in range(0, trials, step)]
+    # A multiple of 64 symbols, so each segment starts on a whole byte.
+    seg = _BLOCK_SYMBOLS & ~63
+    return [
+        (j, j + 1, p, min(n, p + seg)) for j in range(trials) for p in range(0, n, seg)
+    ]
 
 
 def _erasure_block(

@@ -338,3 +338,27 @@ def test_simulate_code_with_kernel_above_size_12_exits_3(tmp_path, capsys, monke
     assert err.startswith("error: decoding tables enumerate 2^13 observation masks")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_simulate_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    # An allocation that fails in the channel sampler's helper thread reaches
+    # the CLI as a MemoryError, which exits 3 without a traceback.
+    import threading
+
+    from polarkit import sim
+
+    caller, channel_words = threading.get_ident(), sim._channel_words
+
+    def helper_out_of_memory(*args):
+        if threading.get_ident() != caller:
+            raise MemoryError
+        return channel_words(*args)
+
+    monkeypatch.setattr(sim, "_channel_words", helper_out_of_memory)
+    out = tmp_path / "sim.csv"
+    # 256 trials of N = 1,024 at a non-dyadic eps make 4 sub-blocks.
+    assert run(["simulate", "--kernel", "10,11", "--depth", "10", "--rate", "0.5",
+                "--eps", "0.45", "--max-trials", "200", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: MemoryError\n"
+    assert not out.exists()

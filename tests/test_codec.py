@@ -880,3 +880,10 @@ def test_known_message_leaves_batch_rows_equal_single_frames(case):
         u_one, f_one = decode_batch(code, ys[row : row + 1])
         assert np.array_equal(u_one[0], u_b[row])
         assert np.array_equal(f_one[0], f_b[row])
+
+
+def test_decode_batch_of_no_frames_is_empty():
+    code = PolarCode.construct(G101, 2, 4, 0.5)
+    u_hat, flags = decode_batch(code, np.zeros((0, 9), np.uint8))
+    for out in (u_hat, flags):
+        assert out.shape == (0, 9) and out.dtype == np.uint8

@@ -3,6 +3,8 @@ documented randomness layout, and exact FERs of small codes by enumerating
 every erasure pattern."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +79,98 @@ def test_sampler_matches_bitstream_reader(monkeypatch, eps, n):
         assert not bits[:, n:].any(), "padding bits must be clear"
         assert np.array_equal(bits[:, :n] == 0, want)
         assert np.array_equal(_erasure_block(seed, eps, n, trial_start, trials), want)
+
+
+def _counting_channel_words(monkeypatch):
+    """Record the thread of every _channel_words call (one per sub-block)."""
+    calls, channel_words = [], sim._channel_words
+
+    def counted(*args):
+        calls.append(threading.get_ident())
+        return channel_words(*args)
+
+    monkeypatch.setattr(sim, "_channel_words", counted)
+    return calls
+
+
+# k = 2, 8 and 64
+@pytest.mark.parametrize("eps", [0.25, 15 / 128, 0.45])
+@pytest.mark.parametrize("n", [200, 1000])
+@pytest.mark.parametrize("segmented", [False, True])
+@pytest.mark.parametrize("blocks", [1, 2, 3])
+def test_sub_blocks_on_two_threads_match_bitstream_reader(
+    monkeypatch, eps, n, segmented, blocks
+):
+    # Segmented: 100-symbol sub-blocks split each row into 64-symbol
+    # segments, and the range has `blocks` trials. Otherwise a sub-block is
+    # two whole trials and the range has `blocks` sub-blocks. Either way the
+    # helper thread draws the first half of the sub-blocks.
+    monkeypatch.setattr(sim, "_BLOCK_SYMBOLS", 100 if segmented else 2 * n)
+    trials = blocks if segmented else 2 * blocks - 1
+    want_calls = trials * -(-n // 64) if segmented else blocks
+    seed = 987654321987654321
+    for trial_start in (0, 3):
+        calls = _counting_channel_words(monkeypatch)
+        want = _reference_erasures(seed, eps, n, trial_start, trials)
+        rows = _known_rows(seed, eps, n, trial_start, trials)
+        bits = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")
+        assert not bits[:, n:].any(), "padding bits must be clear"
+        assert np.array_equal(bits[:, :n] == 0, want)
+        assert len(calls) == want_calls
+        caller = threading.get_ident()
+        helper_calls = sum(ident != caller for ident in calls)
+        assert helper_calls == want_calls // 2
+
+
+def test_concurrent_calls_fill_the_same_rows(monkeypatch):
+    # Four callers at once (eight threads on small sub-blocks, switching as
+    # often as the interpreter allows) each get the rows of a serial call.
+    monkeypatch.setattr(sim, "_BLOCK_SYMBOLS", 100)
+    ranges = [(0.45, 1000, 5 * j, 3) for j in range(4)]
+    want = [_known_rows(11, *r) for r in ranges]
+    got = [None] * len(ranges)
+
+    def call(i):
+        got[i] = _known_rows(11, *ranges[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    for g, w in zip(got, want):
+        assert g is not None and np.array_equal(g, w)
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("failing", ["helper", "caller"])
+def test_sub_block_exception_reaches_the_caller_and_joins_the_helper(
+    monkeypatch, failing
+):
+    # A failure in either half is raised by _known_rows with its own type,
+    # and the helper thread has ended by the time it is.
+    monkeypatch.setattr(sim, "_BLOCK_SYMBOLS", 100)
+    caller, channel_words = threading.get_ident(), sim._channel_words
+
+    def failing_words(*args):
+        if (threading.get_ident() == caller) == (failing == "caller"):
+            raise _Boom(failing)
+        return channel_words(*args)
+
+    monkeypatch.setattr(sim, "_channel_words", failing_words)
+    threads = threading.active_count()
+    with pytest.raises(_Boom, match=failing):
+        _known_rows(5, 0.45, 1000, 0, 4)
+    assert threading.active_count() == threads
 
 
 def _exact_fer(code, eps, use_map):
