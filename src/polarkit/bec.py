@@ -27,9 +27,6 @@ from . import gf2
 from .errors import BudgetExceededError
 from .kernels import Kernel, reference_generator
 
-#: Absolute tolerance for floating-point comparisons of probabilities.
-PROB_ATOL = 1e-9
-
 _MAX_PROFILE_SIZE = 20
 _MAX_ORACLE_BLOCK = 8
 #: largest spectrum (and code length) l^depth accepted

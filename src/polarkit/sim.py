@@ -46,12 +46,13 @@ subtrees whose inputs are all frozen are skipped, and a subtree whose inputs
 are all information bits is replaced by the OR of its unknown message
 planes, so the screen returns the frame-error plane of the chunk directly
 (`codec._screen_known_planes`). The screen alone fixes the frame-error count
-and the stop cut. The full decoder runs only on flagged frames: their trial
-ids and known rows are held back until at least _DECODE_FRAMES are pending,
-or the run ends. That flush first frees the spent chunk (its rows, planes
-and frame-error plane), then decodes the pending frames in batches of at
-most _DECODE_FRAMES frames and _BATCH_SYMBOLS symbols, so its memory grows
-neither with how many frames one chunk flags nor, beyond N = 16,384, with N.
+and the stop: a chunk ends early at its flagged trial that spends the error
+budget, then decides once whether the run stops. Flagged trials wait, with
+their known rows, for the full decoder until _DECODE_FRAMES are pending or
+the run stops. That flush first frees the spent chunk (its rows, planes and
+frame-error plane), then decodes them in batches of at most _DECODE_FRAMES
+frames and _BATCH_SYMBOLS symbols, so its memory grows neither with how many
+frames one chunk flags nor, beyond N = 16,384, with N.
 The tallies are exactly those of decoding every trial individually
 (verified in tests against the literal per-trial loop).
 """
@@ -59,6 +60,7 @@ The tallies are exactly those of decoding every trial individually
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 
@@ -99,6 +101,8 @@ class BecChannel:
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"erasure probability must be in [0, 1], got {self.eps}")
         _check_seed(self.master_seed)
+        if self.trial_index < 0:
+            raise ValueError(f"trial index must be >= 0, got {self.trial_index}")
 
 
 def _check_seed(master_seed: int) -> None:
@@ -115,6 +119,12 @@ class StopRule:
     max_trials: int = 100_000
 
     def __post_init__(self):
+        for name in ("min_frame_errors", "max_trials"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.max_trials < 1:
             raise ValueError("max_trials must be >= 1")
         if self.min_frame_errors < 1:
@@ -400,7 +410,7 @@ def run_monte_carlo(
     Repeats [draw information bits, encode, transmit, SC-decode, tally] until
     the stop rule fires, cutting exactly at the trial that records the
     min_frame_errors-th frame error. Results are byte-identical for identical
-    (code, eps, stop, master_seed) regardless of chunk size.
+    (code, eps, stop, master_seed) regardless of chunk size or decode budget.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"erasure probability must be in [0, 1], got {eps}")
@@ -409,34 +419,31 @@ def run_monte_carlo(
     n64 = -(-n // 64)
     size = min(_CHUNK_TRIALS, max(64, (_BATCH_SYMBOLS // n) & ~63))
     step = max(1, min(_DECODE_FRAMES, _BATCH_SYMBOLS // n))
-    trials = frame_errors = bit_errors = bit_erasures = 0
+    trials = frame_errors = bit_errors = bit_erasures = pending = 0
     # Flagged trials and their known rows, not yet decoded.
     pending_ids: list[np.ndarray] = []
     pending_rows: list[np.ndarray] = []
-    while trials < stop.max_trials and frame_errors < stop.min_frame_errors:
+    done = False  # StopRule asks for at least one trial
+    while not done:
         chunk = min(size, stop.max_trials - trials)
         padded = -(-chunk // 64) * 64
         rows = _known_rows(master_seed, eps, n, trials, padded)
         known = _bit_transpose(rows, padded, 64 * n64)[:n].view(np.uint8)
         frame_plane = _screen_known_planes(code.kernel, plan, known)
-        frames = np.unpackbits(frame_plane, count=chunk, bitorder="little") == 1
-        # The screen alone decides frame errors: cut exactly where the error
-        # budget is exhausted.
-        used = chunk
-        cum = frame_errors + np.cumsum(frames)
-        hit = np.flatnonzero(cum >= stop.min_frame_errors)
-        if hit.size:
-            used = int(hit[0]) + 1
-            frames = frames[:used]
-        flagged = np.flatnonzero(frames)
+        frames = np.unpackbits(frame_plane, count=chunk, bitorder="little")
+        # The screen alone decides frame errors. Keep the flagged trials up to
+        # the error budget; if they reach it, the run ends at the last one.
+        flagged = np.flatnonzero(frames)[: stop.min_frame_errors - frame_errors]
         if flagged.size:
             pending_ids.append(trials + flagged)
             pending_rows.append(rows[flagged])
+            pending += flagged.size
             frame_errors += flagged.size
-        trials += used
-        last = trials >= stop.max_trials or frame_errors >= stop.min_frame_errors
-        pending = sum(ids.size for ids in pending_ids)
-        if pending and (pending >= _DECODE_FRAMES or last):
+        if frame_errors >= stop.min_frame_errors:
+            chunk = int(flagged[-1]) + 1
+        trials += chunk
+        done = trials >= stop.max_trials or frame_errors >= stop.min_frame_errors
+        if pending and (pending >= _DECODE_FRAMES or done):
             # The spent chunk is not read again; free it before decoding.
             del rows, known, frame_plane
             ids, held = np.concatenate(pending_ids), np.concatenate(pending_rows)
@@ -449,6 +456,7 @@ def run_monte_carlo(
                 )
                 bit_errors += errors
                 bit_erasures += erasures
+            pending = 0
             del ids, held
     return _report(
         code, eps, trials, bit_errors, bit_erasures, frame_errors, master_seed

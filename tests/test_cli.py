@@ -362,3 +362,50 @@ def test_simulate_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == "error: MemoryError\n"
     assert not out.exists()
+
+
+_SIM_CODE = ["simulate", "--kernel", "10,11", "--depth", "4", "--rate", "0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_SIM_CODE + ["--eps", "0.5,x"], "bad --eps"),
+        (_SIM_CODE + ["--eps", ","], "--eps must list at least one"),
+        (_SIM_CODE + ["--eps", "0.5", "--min-frame-errors", "0"],
+         "--min-frame-errors and --max-trials must be >= 1"),
+        (["survey", "--size", "3", "--depth", "0"], "--depth must be >= 1"),
+        (["exponent"], "provide --kernel or --size"),
+        (["bound", "--kernel", "10,11", "--depth", "3", "--rates", "x"],
+         "bad --rates"),
+    ],
+    ids=["simulate_eps_malformed", "simulate_eps_empty",
+         "simulate_min_frame_errors_0", "survey_depth_0", "exponent_no_kernel",
+         "bound_rates_malformed"],
+)
+def test_bad_option_value_exits_2(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_construct_k_sets_the_information_size_over_rate(tmp_path):
+    path = tmp_path / "code.json"
+    assert run(["construct", "--kernel", "10,11", "--depth", "3", "--rate", "0.5",
+                "--k", "3", "--out", str(path)]) == 0
+    assert json.loads(path.read_text())["frozen_mask"].count("0") == 3
+    assert run(["construct", "--kernel", "10,11", "--depth", "3",
+                "--k", "9", "--out", str(path)]) == 2
+
+
+def test_oracle_check_mismatch_exits_3(monkeypatch, capsys):
+    from polarkit import bec
+
+    exact = bec.exhaustive_split_oracle
+    monkeypatch.setattr(
+        bec, "exhaustive_split_oracle", lambda *args: exact(*args) + 1e-9
+    )
+    assert run(["oracle-check", "--kernel", "100,110,011"]) == 3
+    out = capsys.readouterr().out
+    assert out.startswith("oracle-check kernel=100,110,011 FAILED max|delta|=1e-09")

@@ -1,5 +1,9 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarkit import (
     BecChannel,
@@ -11,6 +15,7 @@ from polarkit import (
     run_monte_carlo,
     wilson_interval,
 )
+from polarkit import sim
 from polarkit.sim import _assemble_inputs, _message_bits, _run_direct, sim_csv_text
 
 G2 = parse_kernel("10,11")
@@ -382,3 +387,68 @@ def test_seeds_outside_64_bits_are_refused(seed):
         run_monte_carlo(code, 0.5, StopRule(5, 100), master_seed=seed)
     with pytest.raises(ValueError, match="master seed"):
         BecChannel(0.5, master_seed=seed)
+
+
+def test_transmit_rejects_negative_trial_index():
+    with pytest.raises(ValueError, match="trial index"):
+        BecChannel(0.3, 1, -1)
+
+
+@pytest.mark.parametrize(
+    "errors, trials", [(2, 5000.0), (1.5, 5000), ("3", 10), (None, 10)]
+)
+def test_stop_rule_refuses_values_that_are_not_integers(errors, trials):
+    with pytest.raises(TypeError, match="must be an integer"):
+        StopRule(errors, trials)
+
+
+def test_stop_rule_takes_numpy_integers():
+    stop = StopRule(np.int64(3), np.uint16(40))
+    assert stop == StopRule(3, 40) and type(stop.max_trials) is int
+    code = PolarCode.construct(G2, 3, 4, 0.5)
+    assert run_monte_carlo(code, 0.9, stop, 1) == _run_direct(code, 0.9, stop, 1)
+
+
+def test_subuniform_finer_than_64_bits_falls_back_to_64():
+    # No k-bit field resolves 2^-70: every symbol arrives.
+    assert sim._subuniform(2**-70) == (64, 0)
+    assert sim._subuniform(2**-64) == (64, 1)
+
+
+# N a multiple of 64 (G_2, G_e) and not (G_3); _run_direct checks the first.
+_CHUNKING_CODES = (
+    PolarCode.construct(GE, 3, 32, 0.5),
+    PolarCode.construct(G2, 6, 32, 0.5),
+    PolarCode.construct(parse_kernel("100,110,011"), 4, 40, 0.5),
+)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_reports_do_not_depend_on_chunking(data):
+    # Chunk size, decode budget, symbol budget and sub-block size only change
+    # how the work is cut up, never the report.
+    code = data.draw(st.sampled_from(_CHUNKING_CODES), label="code")
+    # k = 1, 2, 4 and 64 bits per symbol; eps 0.5 at N = 64 is the raw path.
+    eps = data.draw(st.sampled_from([0.5, 0.75, 0.3125, 0.45]), label="eps")
+    constants = {
+        "_CHUNK_TRIALS": data.draw(st.integers(1, 200)),
+        "_DECODE_FRAMES": data.draw(st.integers(1, 40)),
+        "_BATCH_SYMBOLS": data.draw(st.integers(1, 1 << 14)),
+        # below N = 81, sub-blocks are 64-symbol segments of one row
+        "_BLOCK_SYMBOLS": data.draw(st.integers(64, 256)),
+    }
+    frames = constants["_DECODE_FRAMES"]
+    # An error budget that a chunk reaches part-way, or one that fills the
+    # pending frames to a whole number of flushes.
+    errors = data.draw(
+        st.integers(1, 100) | st.integers(1, 3).map(lambda m: m * frames),
+        label="min_frame_errors",
+    )
+    stop = StopRule(errors, data.draw(st.integers(1, 300), label="max_trials"))
+    want = sim_csv_text([run_monte_carlo(code, eps, stop, master_seed=29)])
+    with patch.multiple(sim, **constants):
+        got = run_monte_carlo(code, eps, stop, master_seed=29)
+    assert sim_csv_text([got]) == want
+    if code is _CHUNKING_CODES[0]:
+        assert got == _run_direct(code, eps, stop, master_seed=29)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarkit import (
+    FamilySummary,
     Kernel,
     enumerate_kernels,
     export_survey,
@@ -125,6 +126,13 @@ def test_invertible_summary_3x3():
     assert summary.curve_count == 3
     assert summary.best_group_size == 4
     assert summary.polarising_count == 7
+
+
+def test_invertible_summary_of_singular_kernels_only_is_empty():
+    singular = [k for k in enumerate_kernels(2, "all") if not k.invertible]
+    records = group_survey(singular, 0.5, 3)
+    assert records and all(r.invertible_count == 0 for r in records)
+    assert invertible_summary(records) == FamilySummary(0, 0, 0)
 
 
 def test_export_survey_row_count_and_determinism(tmp_path):
