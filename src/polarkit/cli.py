@@ -281,6 +281,8 @@ def _cmd_simulate(ns) -> int:
         _check_eps(e)
     if ns.min_frame_errors < 1 or ns.max_trials < 1:
         raise UsageError("--min-frame-errors and --max-trials must be >= 1")
+    if ns.max_trials > _SEED_LIMIT:
+        raise UsageError("--max-trials must be <= 2**64: trial ids are 64-bit")
     stop = StopRule(min_frame_errors=ns.min_frame_errors, max_trials=ns.max_trials)
     reports = []
     for eps in eps_list:

@@ -190,8 +190,8 @@ class PolarCode:
             "kernel": self.kernel.to_json_dict(),
             "depth": self.depth,
             "design_eps": self.design_eps,
-            "frozen_mask": "".join(str(int(b)) for b in self.frozen_mask),
-            "frozen_values": "".join(str(int(b)) for b in self.frozen_values),
+            "frozen_mask": (self.frozen_mask + ord("0")).tobytes().decode("ascii"),
+            "frozen_values": (self.frozen_values + ord("0")).tobytes().decode("ascii"),
             "index_base": 0,
         }
 
@@ -209,8 +209,14 @@ class PolarCode:
         if not isinstance(depth, int) or isinstance(depth, bool):
             raise TypeError(f"code depth must be an integer, got {depth!r}")
         kernel = Kernel.from_json_dict(d["kernel"])
-        mask = np.array([int(c) for c in d["frozen_mask"]], dtype=np.uint8)
-        vals = np.array([int(c) for c in d["frozen_values"]], dtype=np.uint8)
+        texts = d["frozen_mask"], d["frozen_values"]
+        if not all(isinstance(t, str) for t in texts):
+            raise TypeError("frozen mask and values must be strings")
+        # Non-ASCII characters become '?': only '0' and '1' map into {0, 1}.
+        mask, vals = (
+            np.frombuffer(t.encode("ascii", "replace"), np.uint8) - ord("0")
+            for t in texts
+        )
         return cls(
             kernel=kernel,
             depth=depth,
@@ -225,8 +231,9 @@ class DecodeResult:
     """Decoder output: decisions, ambiguity flags, and the frame verdict.
 
     `erased_flags[i] = 1` marks an information decision that was ambiguous
-    (or contradictory) and defaulted to zero; frozen positions are never
-    flagged. `frame_erased` is true iff any information position is flagged.
+    (or contradictory) and defaulted to zero; frozen positions always hold
+    their frozen values and are never flagged. `frame_erased` is true iff
+    any position is flagged.
     """
 
     u_hat: np.ndarray
@@ -485,7 +492,8 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     per kernel; the read-only rate-0 re-encodings and inverse kernel per
     code in its `_node_plan`), so concurrent decodes of one code need no
     coordination. Raises ValueError unless every symbol is 0, 1 or 2
-    (erased).
+    (erased). Whatever the symbols, frozen positions hold their frozen
+    values and are never flagged.
     """
     ys = np.asarray(ys)
     if ys.ndim != 2 or ys.shape[1] != code.N:
@@ -582,12 +590,8 @@ def sc_decode(code: PolarCode, y) -> DecodeResult:
     y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != code.N:
         raise ValueError(f"expected {code.N} received symbols, got shape {y.shape}")
-    return _first_result(code, *decode_batch(code, y[None, :]))
-
-
-def _first_result(code: PolarCode, u_hat: np.ndarray, flags: np.ndarray):
-    """The DecodeResult of the first frame of a decoded batch."""
-    return DecodeResult(u_hat[0], flags[0], bool(flags[0][code.info_set].any()))
+    u_hat, flags = decode_batch(code, y[None, :])
+    return DecodeResult(u_hat[0], flags[0], bool(flags.any()))
 
 
 # --------------------------------------------------------------------------
@@ -639,7 +643,8 @@ def map_oracle_decode(code: PolarCode, y) -> DecodeResult:
     y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != code.N:
         raise ValueError(f"expected {code.N} received symbols, got shape {y.shape}")
-    return _first_result(code, *_map_decode_batch(code, _symbols(y)[None, :]))
+    u_hat, flags = _map_decode_batch(code, _symbols(y)[None, :])
+    return DecodeResult(u_hat[0], flags[0], bool(flags.any()))
 
 
 # --------------------------------------------------------------------------

@@ -242,9 +242,9 @@ def row_descriptors(rows: np.ndarray, sep: str = ",") -> list[str]:
     the rows joined by the one-character `sep` instead of a comma."""
     m, l = rows.shape
     # Row r's text lists columns 0..l-1, i.e. bits 0..l-1 of its row bits.
-    digits = (np.arange(1 << l)[:, None] >> np.arange(l)) & 1
+    digits = (rows[:, :, None] >> np.arange(l, dtype=rows.dtype)).astype(np.uint8)
     text = np.full((m, l, l + 1), ord(sep), dtype=np.uint8)
-    text[:, :, :l] = (digits + ord("0")).astype(np.uint8)[rows]
+    text[:, :, :l] = (digits & 1) + ord("0")
     text[:, -1, -1] = ord("\n")  # ends each kernel's text
     return text.tobytes().decode("ascii").split("\n")[:-1]
 

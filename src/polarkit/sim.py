@@ -10,7 +10,8 @@ counter-based so results are independent of execution order and batching):
   otherwise): symbol p of trial j reads the k bits at offset (j*N + p)*k and
   is erased iff their value is below floor(eps * 2**k). The threshold is
   computed in exact integer arithmetic, so the erasure probability matches
-  the requested float to within 2**-64.
+  the requested float to within 2**-64. Trial ids, like seeds, lie in
+  [0, 2**64); the Philox counter is wide enough for every one of them.
 
 * Message bits: trial j draws K doubles from ``Philox(key=(seed, j))``; bit
   = (double < 0.5).
@@ -77,7 +78,7 @@ from .codec import (
 from . import gf2
 
 _CHANNEL_TAG = 1 << 62
-#: master seeds are Philox key words: integers in [0, 2**64)
+#: master seeds and trial ids are Philox key words: integers in [0, 2**64)
 _SEED_LIMIT = 1 << 64
 
 #: two-sided 95% normal quantile, used by the Wilson interval
@@ -101,8 +102,15 @@ class BecChannel:
         if not 0.0 <= self.eps <= 1.0:
             raise ValueError(f"erasure probability must be in [0, 1], got {self.eps}")
         _check_seed(self.master_seed)
-        if self.trial_index < 0:
-            raise ValueError(f"trial index must be >= 0, got {self.trial_index}")
+        try:
+            trial = operator.index(self.trial_index)
+        except TypeError:
+            raise TypeError(
+                f"trial index must be an integer, got {self.trial_index!r}"
+            ) from None
+        if not 0 <= trial < _SEED_LIMIT:
+            raise ValueError(f"trial index must be in [0, 2**64), got {trial}")
+        object.__setattr__(self, "trial_index", trial)
 
 
 def _check_seed(master_seed: int) -> None:
@@ -125,8 +133,8 @@ class StopRule:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise TypeError(f"{name} must be an integer, got {value!r}") from None
-        if self.max_trials < 1:
-            raise ValueError("max_trials must be >= 1")
+        if not 1 <= self.max_trials <= _SEED_LIMIT:
+            raise ValueError("max_trials must be in [1, 2**64]: trial ids are 64-bit")
         if self.min_frame_errors < 1:
             raise ValueError("min_frame_errors must be >= 1")
 
@@ -171,10 +179,15 @@ def _subuniform(eps: float) -> tuple[int, int]:
 
 
 def _channel_words(master_seed: int, word_start: int, count: int) -> np.ndarray:
-    """Words [word_start, word_start + count) of the keyed channel stream."""
+    """Words [word_start, word_start + count) of the keyed channel stream.
+
+    Word w is lane w % 4 of the Philox block after counter w // 4; the block
+    number fills the counter's two low 64-bit words, so every trial below
+    2**64 reads its own stream position at any N and k."""
     key = np.array([master_seed, _CHANNEL_TAG], dtype=np.uint64)
     block, lane = divmod(word_start, 4)
-    bg = np.random.Philox(key=key, counter=np.array([block, 0, 0, 0], dtype=np.uint64))
+    counter = np.array([block & (_SEED_LIMIT - 1), block >> 64, 0, 0], dtype=np.uint64)
+    bg = np.random.Philox(key=key, counter=counter)
     return bg.random_raw(lane + count)[lane:]
 
 
@@ -389,17 +402,17 @@ def _decode_flagged(
     code: PolarCode, trial_ids: np.ndarray, rows: np.ndarray, master_seed: int
 ) -> tuple[int, int]:
     """Bit errors and bit erasures of the screen-flagged trials `trial_ids`,
-    decoded in one batch from their packed known rows."""
-    info = code.info_set
+    decoded in one batch from their packed known rows. The decoder never
+    errs at or flags a frozen position, so the tallies run over whole rows."""
     u = _assemble_inputs(code, trial_ids, master_seed)
     y = _encode_batch(code.kernel, u)
     np.copyto(y, np.uint8(Symbol.ERASED), where=_unpack_erased(rows, code.N))
-    u_hat, flags = decode_batch(code, y)
-    erased = flags[:, info] == 1
-    bad = erased | (u_hat[:, info] != u[:, info])
+    bad, flags = decode_batch(code, y)
+    bad ^= u  # 1 where a decision is wrong (decisions and bits are 0 or 1)
+    bad |= flags  # or flagged
     if not bad.any(axis=1).all():
         raise AssertionError("screen flagged a frame the decoder resolved")
-    return int(bad.sum()), int(erased.sum())
+    return int(np.count_nonzero(bad)), int(np.count_nonzero(flags))
 
 
 def run_monte_carlo(
@@ -497,7 +510,7 @@ def _report(
     master_seed: int,
 ) -> SimReport:
     """The SimReport of a finished run, with its Wilson interval."""
-    k = int(code.info_set.size)
+    k = code.K
     lo, hi = wilson_interval(frame_errors, trials)
     return SimReport(
         code_id=code.code_id(),

@@ -178,8 +178,14 @@ def _write_code(tmp_path, **changes):
 
 @pytest.mark.parametrize(
     "changes",
-    [{"depth": None}, {"frozen_mask": "0120"}, {"index_base": 1}],
-    ids=["depth_null", "non_binary_mask", "index_base_1"],
+    [{"depth": None}, {"frozen_mask": "0120"}, {"index_base": 1},
+     {"frozen_mask": " 01"},
+     # Arabic-Indic digits, which int() reads as 0 and 1
+     {"frozen_mask": "\u0660\u0661"}, {"frozen_mask": "\u0660\u0661\u0660\u0661"},
+     {"frozen_mask": [1, 1, 0, 0]}, {"frozen_values": [0, 0, 0, 0]}],
+    ids=["depth_null", "non_binary_mask", "index_base_1", "mask_with_space",
+         "mask_arabic_indic", "mask_arabic_indic_full_length", "mask_list",
+         "values_list"],
 )
 def test_malformed_code_descriptor_exits_2(tmp_path, capsys, changes):
     path = _write_code(tmp_path, **changes)
@@ -374,13 +380,16 @@ _SIM_CODE = ["simulate", "--kernel", "10,11", "--depth", "4", "--rate", "0.5"]
         (_SIM_CODE + ["--eps", ","], "--eps must list at least one"),
         (_SIM_CODE + ["--eps", "0.5", "--min-frame-errors", "0"],
          "--min-frame-errors and --max-trials must be >= 1"),
+        (_SIM_CODE + ["--eps", "0.5", "--max-trials", str(2**64 + 1)],
+         "--max-trials must be <= 2**64"),
         (["survey", "--size", "3", "--depth", "0"], "--depth must be >= 1"),
         (["exponent"], "provide --kernel or --size"),
         (["bound", "--kernel", "10,11", "--depth", "3", "--rates", "x"],
          "bad --rates"),
     ],
     ids=["simulate_eps_malformed", "simulate_eps_empty",
-         "simulate_min_frame_errors_0", "survey_depth_0", "exponent_no_kernel",
+         "simulate_min_frame_errors_0", "simulate_max_trials_above_2_64",
+         "survey_depth_0", "exponent_no_kernel",
          "bound_rates_malformed"],
 )
 def test_bad_option_value_exits_2(capsys, argv, message):

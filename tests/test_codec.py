@@ -40,6 +40,20 @@ def uncoded(kernel, depth):
     )
 
 
+def random_invertible_kernels(seed, sizes):
+    from polarkit import Kernel, gf2
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for l in sizes:
+        while True:
+            m = rng.integers(0, 2, (l, l), dtype=np.uint8)
+            if gf2.rank(m) == l:
+                out.append(Kernel(m))
+                break
+    return out
+
+
 def all_patterns(n):
     return np.array(list(itertools.product([0, 1, 2], repeat=n)), dtype=np.uint8)
 
@@ -216,6 +230,32 @@ def test_code_json_round_trip():
     assert np.array_equal(back.frozen_values, code.frozen_values)
     assert back.kernel == code.kernel
     assert back.depth == code.depth and back.design_eps == code.design_eps
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_code_json_masks_match_per_character_text(data):
+    # Lengths 1 to 243, most of them not a multiple of 8; the per-character
+    # conversions that the code files were first written with are the oracle.
+    kernel, depth = data.draw(
+        st.sampled_from([(G2, 0), (G2, 1), (G101, 1), (G2, 3), (G101, 2),
+                         (GE, 2), (G101, 4), (G2, 7), (G101, 5)]),
+        label="code",
+    )
+    n = kernel.l**depth
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    mask = np.array(data.draw(bits, label="mask"), dtype=np.uint8)
+    values = np.array(data.draw(bits, label="values"), dtype=np.uint8)
+    code = PolarCode(kernel=kernel, depth=depth, frozen_mask=mask, frozen_values=values)
+    d = code.to_json_dict()
+    assert d["frozen_mask"] == "".join(str(int(b)) for b in code.frozen_mask)
+    assert d["frozen_values"] == "".join(str(int(b)) for b in code.frozen_values)
+    back = PolarCode.from_json_dict(d)
+    for field in ("frozen_mask", "frozen_values"):
+        want = np.array([int(c) for c in d[field]], dtype=np.uint8)
+        got = getattr(back, field)
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+    assert back.to_json_dict() == d
 
 
 def test_symbols_str_round_trip():
@@ -432,12 +472,45 @@ def test_erasure_anti_monotonicity_first_difference(data):
         assert not (a.erased_flags[first] == 1 and b.erased_flags[first] == 0)
 
 
-def test_frozen_positions_never_flagged():
-    rng = np.random.default_rng(5)
-    code = PolarCode.construct(GE, 2, 4, 0.5)
-    ys = rng.integers(0, 3, (500, 16)).astype(np.uint8)
-    _, flags = decode_batch(code, ys)
-    assert not flags[:, code.frozen_mask == 1].any()
+_CONTRACT_CODES = [
+    pytest.param(kernel, depth, id=f"{name}-d{depth}")
+    for name, kernel, depth in [("G2", G2, 2), ("G2", G2, 6), ("G3", G101, 2),
+                                ("G3", G101, 4), ("Ge", GE, 2), ("Ge", GE, 3)]
+] + [
+    pytest.param(kernel, depth, id=f"l{kernel.l}-d{depth}")
+    for kernel, depth in zip(random_invertible_kernels(808, [3, 5, 6, 7, 8]),
+                             [3, 2, 2, 2, 2])
+]
+
+
+@pytest.mark.parametrize("inputs", ["honest", "random", "poisoning"])
+@pytest.mark.parametrize("batch", [1, 500])
+@pytest.mark.parametrize("kernel, depth", _CONTRACT_CODES)
+def test_frozen_positions_never_flagged(kernel, depth, batch, inputs):
+    # Whatever the symbols, the decoder gives every frozen position its
+    # frozen value and never flags it, so callers may tally whole rows.
+    rng = np.random.default_rng([kernel.l, depth, batch])
+    n = kernel.l**depth
+    frozen_bits = rng.integers(0, 2, n - n // 2)
+    frozen_bits[0] = 1  # nonzero frozen values
+    code = PolarCode.construct(kernel, depth, n // 2, 0.5, frozen_bits=frozen_bits)
+    frozen = code.frozen_mask == 1
+    if inputs == "random":
+        ys = rng.integers(0, 3, (batch, n)).astype(np.uint8)
+    else:
+        # Honest frames carry the frozen values; poisoning ones carry random
+        # bits there, which the decoder finds to clash with the frozen values
+        # wherever the channel reveals enough of them.
+        u = rng.integers(0, 2, (batch, n), dtype=np.uint8)
+        if inputs == "honest":
+            u[:, frozen] = code.frozen_values[frozen]
+        ys = _encode_batch(kernel, u)
+        ys[rng.random((batch, n)) < 0.3] = Symbol.ERASED
+    u_hat, flags = decode_batch(code, ys)
+    assert (u_hat[:, frozen] == code.frozen_values[frozen]).all()
+    assert not flags[:, frozen].any()
+    for row in range(min(batch, 4)):
+        assert sc_decode(code, ys[row]).frame_erased == flags[row].any()
 
 
 def test_batch_decode_equals_scalar_decode():
@@ -517,20 +590,6 @@ def test_genie_flags_prefix_agreement():
 
 
 # ------------------------------------------------ decoder vs MAP, exhaustive
-
-
-def random_invertible_kernels(seed, sizes):
-    from polarkit import Kernel, gf2
-
-    rng = np.random.default_rng(seed)
-    out = []
-    for l in sizes:
-        while True:
-            m = rng.integers(0, 2, (l, l), dtype=np.uint8)
-            if gf2.rank(m) == l:
-                out.append(Kernel(m))
-                break
-    return out
 
 
 @pytest.mark.parametrize(

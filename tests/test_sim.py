@@ -394,6 +394,67 @@ def test_transmit_rejects_negative_trial_index():
         BecChannel(0.3, 1, -1)
 
 
+def test_transmit_refuses_trial_ids_beyond_64_bits():
+    # Trial ids are Philox key words, as seeds are.
+    with pytest.raises(ValueError, match=r"trial index must be in \[0, 2\*\*64\)"):
+        bec_transmit([1, 0, 1, 1], BecChannel(0.3, 1, 2**64))
+
+
+@pytest.mark.parametrize("trial", [1.5, "3", None])
+def test_transmit_refuses_trial_ids_that_are_not_integers(trial):
+    with pytest.raises(TypeError, match="trial index must be an integer"):
+        BecChannel(0.3, 1, trial)
+
+
+def test_channel_takes_numpy_integer_trial_ids():
+    ch = BecChannel(0.3, 1, np.uint64(2**64 - 1))
+    assert type(ch.trial_index) is int and ch == BecChannel(0.3, 1, 2**64 - 1)
+
+
+def test_stop_rule_refuses_more_than_2_to_the_64_trials():
+    assert StopRule(1, 2**64).max_trials == 2**64  # trial ids 0 .. 2^64 - 1
+    with pytest.raises(ValueError, match="max_trials"):
+        StopRule(1, 2**64 + 1)
+
+
+@pytest.mark.parametrize("n", [1024, 1001])
+@pytest.mark.parametrize("eps", [0.45, 0.5], ids=["k64", "k1"])
+@pytest.mark.parametrize("trial", [2**61, 2**64 - 1], ids=["2^61", "2^64-1"])
+def test_high_trial_ids_read_their_documented_stream_position(n, eps, trial):
+    # Symbol p of trial j reads the k bits at stream offset (j*N + p)*k; here
+    # the block number of that word passes 2^64 (at N = 1001 its low 64-bit
+    # word is odd). Philox.advance, which adds to the whole 256-bit counter,
+    # reads the same words independently. N = 1024 at k = 1 is the raw path.
+    seed = 9
+    k, threshold = {0.45: (64, int(0.45 * 2**64)), 0.5: (1, 1)}[eps]
+    assert (k, threshold) == sim._subuniform(eps)
+    word, skip = divmod(trial * n * k, 64)
+    block, lane = divmod(word, 4)
+    bg = np.random.Philox(key=np.array([seed, 2**62], dtype=np.uint64))
+    bg.advance(block)
+    words = bg.random_raw(lane + -(-(skip + n * k) // 64))[lane:]
+    if k == 1:
+        fields = np.unpackbits(words.view(np.uint8), bitorder="little")[skip:]
+    else:
+        fields = words
+    y = bec_transmit(np.ones(n, np.uint8), BecChannel(eps, seed, trial))
+    assert np.array_equal(y == 2, fields[:n] < threshold)
+
+
+def test_long_g3_report_is_pinned():
+    # G_3 at depth 9 (N = 19,683, not a multiple of 64): every frame fails
+    # at eps 0.45 and one batch decodes all 64 of them. The counts were
+    # recorded with tallies over the information set alone.
+    code = PolarCode.construct(parse_kernel("100,110,011"), 9, 9841, 0.5)
+    report = run_monte_carlo(code, 0.45, StopRule(65, 64), master_seed=5)
+    assert (report.K, report.trials, report.frame_errors) == (9841, 64, 64)
+    assert (report.bit_errors, report.bit_erasures) == (626_559, 626_346)
+    assert type(report.bit_errors) is int and type(report.bit_erasures) is int
+    assert sim_csv_text([report]).split("\n")[1] == (
+        "0.45,19683,9841,64,626559,626346,64,0.994816012092,1,0.943375940207,1,5"
+    )
+
+
 @pytest.mark.parametrize(
     "errors, trials", [(2, 5000.0), (1.5, 5000), ("3", 10), (None, 10)]
 )

@@ -284,6 +284,26 @@ def test_row_descriptors_match_kernel_descriptors(l, family):
     ]
 
 
+@pytest.mark.parametrize("l", range(2, 21))
+def test_row_descriptors_of_random_kernels_match_kernel_descriptors(l):
+    rows = np.random.default_rng(l).integers(0, 1 << l, (7, l), dtype=np.uint32)
+    assert row_descriptors(rows) == [Kernel.from_row_bits(r).descriptor() for r in rows]
+
+
+def test_row_descriptors_memory_does_not_grow_with_two_to_the_l():
+    # The text of one 20x20 kernel is 420 bytes; a table of all 2^20 row
+    # values would take hundreds of MiB.
+    rows = np.random.default_rng(20).integers(0, 1 << 20, (1, 20), dtype=np.uint32)
+    tracemalloc.start()
+    try:
+        (text,) = row_descriptors(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text == Kernel.from_row_bits(rows[0]).descriptor()
+    assert peak < 1 << 20
+
+
 def test_invertible_count_matches_members():
     records = survey_family(3, "all", 0.5, 7)
     assert sum(rec.member_count for rec in records) == 512
