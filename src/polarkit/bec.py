@@ -236,8 +236,8 @@ def polarisation_distance(s: Spectrum) -> float:
     """
     if s.size == 0:
         raise ValueError("spectrum is empty")
-    if s.design_eps == 0:
-        raise ValueError("normalisation undefined for design erasure rate 0")
+    if s.design_eps * s.design_eps == 0:
+        raise ValueError("normalisation undefined: design erasure rate squares to 0")
     m = np.minimum(np.abs(s.z), np.abs(1.0 - s.z))
     return float((m * m).mean() / (s.design_eps * s.design_eps))
 

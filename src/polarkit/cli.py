@@ -125,7 +125,8 @@ def _cmd_analyze(ns) -> int:
     if ns.depth < 0:
         raise UsageError("--depth must be >= 0")
     spectrum = bec.evolve_spectrum(kernel, ns.eps, ns.depth)
-    dist = bec.polarisation_distance(spectrum) if ns.eps > 0 else float("nan")
+    # eps0^2 normalises d_p; it is undefined where that square is 0.
+    dist = bec.polarisation_distance(spectrum) if ns.eps * ns.eps else float("nan")
     if ns.out:
         atomic_write_text(_out_path(ns.out), bec.spectrum_csv_text(spectrum))
     print(
@@ -138,9 +139,10 @@ def _cmd_analyze(ns) -> int:
 def _cmd_survey(ns) -> int:
     if ns.size < 2:
         raise UsageError("--size must be >= 2")
-    # A survey normalises by eps^2, so eps = 0 has no distance curves.
-    if not 0.0 < ns.eps <= 1.0:
-        raise UsageError(f"--eps must be in (0, 1], got {ns.eps}")
+    # A survey normalises by eps^2, so an eps whose square underflows to 0
+    # has no distance curves.
+    if not 0.0 < ns.eps <= 1.0 or ns.eps * ns.eps == 0.0:
+        raise UsageError(f"--eps must be in (0, 1] and square to > 0, got {ns.eps}")
     depth = ns.depth if ns.depth is not None else (7 if ns.size == 3 else 5)
     if depth < 1:
         raise UsageError("--depth must be >= 1")
@@ -262,9 +264,9 @@ def _cmd_simulate(ns) -> int:
                 code = PolarCode.from_json_dict(json.load(fh, parse_int=_json_int))
         except FileNotFoundError as exc:
             raise UsageError(f"code file not found: {exc.filename}") from None
-        except (KeyError, TypeError, ValueError) as exc:
-            # JSONDecodeError is a ValueError; every field check raises one
-            # of these three.
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            # Field checks raise the first three (JSONDecodeError is a ValueError);
+            # a huge design_eps overflows float() and deep nesting json.load.
             raise UsageError(f"bad code descriptor: {exc}") from None
     elif ns.kernel and ns.depth is not None:
         ns.info_k = None

@@ -22,8 +22,10 @@ frame's u, the messages times the inverse kernel power, differs from a
 frozen value at a frozen input of the node (that frame would be poisoned
 deeper in the tree): the live frames decide u, and the re-encoding is the
 messages. This generalises the rate-1 node of Sarkis et al. ("Fast polar
-decoders", IEEE JSAC 2014). Otherwise the whole batch descends; descending
-only the frames with an erased message measured slower.
+decoders", IEEE JSAC 2014). The leaf test reads the node's knownness array,
+the one that builds its determination masks when it descends, so each node
+makes one knownness pass either way. Otherwise the whole batch descends;
+descending only the frames with an erased message measured slower.
 
 A node packs the l message columns of each kernel operation into words in
 the narrowest dtype that holds l + 1 bits (uint8 for l < 8, uint16 up to
@@ -521,20 +523,6 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     flags = np.zeros((batch, code.N), dtype=np.uint8)
     poison = np.zeros(batch, dtype=bool)
 
-    def leaf(msg: np.ndarray, lo: int) -> np.ndarray | None:
-        """The inputs from lo on that encode to the messages `msg`, or None if
-        a live frame has an erased message or a clash with a frozen value."""
-        live = ~poison
-        if msg[live].max(initial=0) > 1:
-            return None
-        decided = _kron_encode(plan.inverse, msg)
-        cols = np.flatnonzero(frozen[lo : lo + msg.shape[1]])
-        if cols.size:  # a rate-1 node has nothing to clash with
-            clash = (decided[:, cols] != values[lo + cols]).any(axis=1)
-            if (live & clash).any():
-                return None
-        return decided
-
     def rec(msg: np.ndarray, lo: int, k: int) -> np.ndarray:
         """Decode inputs lo..lo+m-1 (level k) from their m messages; return
         the re-encoding of the decisions (rows broadcast against the batch)."""
@@ -552,17 +540,20 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
             u_hat[:, lo] = np.where(flag, 0, bit)
             flags[:, lo] = flag
             return u_hat[:, lo : lo + 1]
-        # Known-message leaf, tested on one live frame (if any) first, so a
-        # batch seldom pays O(B m) where it descends.
-        j = int(np.argmin(poison))
-        decided = leaf(msg, lo) if poison[j] or msg[j].max() <= 1 else None
-        if decided is not None:
-            decided[poison] = values[lo : lo + m]
-            u_hat[:, lo : lo + m] = decided
-            flags[poison, lo : lo + m] = ~frozen[lo : lo + m]
-            return msg
         v = msg.reshape(batch, l, m // l)
-        kappa = ((v <= 1).astype(narrow) << shifts).sum(axis=1, dtype=narrow)
+        known = v <= 1
+        if (known.all(axis=(1, 2)) | poison).all():
+            # Known-message leaf, unless a live frame's inputs clash with a
+            # frozen value of the node.
+            decided = _kron_encode(plan.inverse, msg)
+            cols = np.flatnonzero(frozen[lo : lo + m])
+            clash = (decided[:, cols] != values[lo + cols]).any(axis=1)
+            if not (clash & ~poison).any():
+                decided[poison] = values[lo : lo + m]
+                u_hat[:, lo : lo + m] = decided
+                flags[poison, lo : lo + m] = ~frozen[lo : lo + m]
+                return msg
+        kappa = (known.astype(narrow) << shifts).sum(axis=1, dtype=narrow)
         obs = ((v == 1).astype(narrow) << shifts).sum(axis=1, dtype=narrow)
         obs |= observed
         prior = np.zeros_like(kappa)

@@ -406,7 +406,9 @@ def _decode_flagged(
     errs at or flags a frozen position, so the tallies run over whole rows."""
     u = _assemble_inputs(code, trial_ids, master_seed)
     y = _encode_batch(code.kernel, u)
-    np.copyto(y, np.uint8(Symbol.ERASED), where=_unpack_erased(rows, code.N))
+    # Symbols are 0 or 1, and a bool erasure shifted left once is 2 ==
+    # Symbol.ERASED, so the maximum erases exactly the erased symbols.
+    np.maximum(y, _unpack_erased(rows, code.N).view(np.uint8) << 1, out=y)
     bad, flags = decode_batch(code, y)
     bad ^= u  # 1 where a decision is wrong (decisions and bits are 0 or 1)
     bad |= flags  # or flagged

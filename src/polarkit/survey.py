@@ -142,9 +142,10 @@ def invertible_summary(records: Sequence[GroupRecord]) -> FamilySummary:
 
 
 def _check_curve_args(eps0: float, depth: int, min_depth: int) -> None:
-    """Refuse a design rate outside (0, 1], NaN included, or a short depth."""
-    if not 0.0 < eps0 <= 1.0:
-        raise ValueError(f"design erasure rate must be in (0, 1], got {eps0}")
+    """Refuse a design rate outside (0, 1], NaN included, one whose square
+    (the curves' normalisation) underflows to 0, or a short depth."""
+    if not 0.0 < eps0 <= 1.0 or eps0 * eps0 == 0.0:
+        raise ValueError(f"design erasure rate {eps0} not in (0, 1] or squares to 0")
     if depth < min_depth:
         raise ValueError(f"depth must be >= {min_depth}, got {depth}")
 

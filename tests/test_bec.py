@@ -314,6 +314,12 @@ def test_distance_rejects_zero_design_eps():
         polarisation_distance(sp)
 
 
+def test_distance_rejects_design_eps_whose_square_underflows():
+    sp = evolve_spectrum(G2, 1e-170, 2)
+    with pytest.raises(ValueError, match="squares to 0"):
+        polarisation_distance(sp)
+
+
 @given(st.integers(0, 2**16 - 1), st.integers(1, 7))
 @settings(max_examples=50, deadline=None)
 def test_distance_in_unit_interval_at_half(idx, depth):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -182,14 +183,25 @@ def _write_code(tmp_path, **changes):
      {"frozen_mask": " 01"},
      # Arabic-Indic digits, which int() reads as 0 and 1
      {"frozen_mask": "\u0660\u0661"}, {"frozen_mask": "\u0660\u0661\u0660\u0661"},
-     {"frozen_mask": [1, 1, 0, 0]}, {"frozen_values": [0, 0, 0, 0]}],
+     {"frozen_mask": [1, 1, 0, 0]}, {"frozen_values": [0, 0, 0, 0]},
+     # a 400-digit integer, which float() cannot hold
+     {"design_eps": 10**400}],
     ids=["depth_null", "non_binary_mask", "index_base_1", "mask_with_space",
          "mask_arabic_indic", "mask_arabic_indic_full_length", "mask_list",
-         "values_list"],
+         "values_list", "design_eps_400_digits"],
 )
 def test_malformed_code_descriptor_exits_2(tmp_path, capsys, changes):
     path = _write_code(tmp_path, **changes)
     capsys.readouterr()
+    assert run(["simulate", "--code", str(path), "--eps", "0.5",
+                "--max-trials", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad code descriptor")
+
+
+def test_deeply_nested_code_file_exits_2(tmp_path, capsys):
+    # json.load recurses once per array level and runs out of stack
+    path = tmp_path / "code.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
     assert run(["simulate", "--code", str(path), "--eps", "0.5",
                 "--max-trials", "10"]) == 2
     assert capsys.readouterr().err.startswith("error: bad code descriptor")
@@ -302,7 +314,7 @@ def test_huge_depth_refused_with_exit_3(tmp_path, monkeypatch, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("eps", ["0", "nan", "1.5", "-0.25"])
+@pytest.mark.parametrize("eps", ["0", "nan", "1.5", "-0.25", "1e-170"])
 def test_survey_design_rate_outside_unit_interval_exits_2(tmp_path, capsys, eps):
     out = tmp_path / "survey.csv"
     assert run(["survey", "--size", "3", "--eps", eps, "--out", str(out)]) == 2
@@ -313,6 +325,16 @@ def test_survey_design_rate_outside_unit_interval_exits_2(tmp_path, capsys, eps)
 
 def test_analyze_at_eps_zero_still_reports_nan_distance(capsys):
     assert run(["analyze", "--kernel", "10,11", "--eps", "0", "--depth", "2"]) == 0
+    assert "d_p=nan" in capsys.readouterr().out
+
+
+def test_analyze_at_eps_with_zero_square_reports_nan_distance(capsys):
+    # 1e-320 is a positive double whose square underflows to 0, which would
+    # make the distance 0/0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["analyze", "--kernel", "10,11", "--eps", "1e-320",
+                    "--depth", "2"]) == 0
     assert "d_p=nan" in capsys.readouterr().out
 
 

@@ -941,6 +941,40 @@ def test_known_message_leaves_batch_rows_equal_single_frames(case):
         assert np.array_equal(f_one[0], f_b[row])
 
 
+@pytest.mark.parametrize("kernel", [GE, G101], ids=["Ge-depth2", "G3-depth2"])
+def test_leaf_test_with_known_erased_and_poisoning_frames_in_every_order(kernel):
+    # Three frames: one knows every message, one has a single erased message,
+    # and one is an erasure-free word of an input with a frozen value flipped,
+    # live and fully known at the root yet clashing with a frozen value there,
+    # and poisoned from the flipped input on. In every row order, each row
+    # decodes as it does alone and as the MAP oracle decides.
+    rng = np.random.default_rng(2028)
+    n = kernel.l**2
+    # K = N/2, and K = N - 1 with only the last input frozen, where every
+    # node before it is rate-1
+    masks = [PolarCode.construct(kernel, 2, n // 2, 0.5).frozen_mask]
+    masks += [np.eye(1, n, n - 1, dtype=np.uint8)[0]]
+    for mask in masks:
+        values = rng.integers(0, 2, n, dtype=np.uint8) * mask
+        code = PolarCode(kernel=kernel, depth=2, frozen_mask=mask, frozen_values=values)
+        frozen = np.flatnonzero(mask)
+        for p in range(n):
+            u = np.tile(values, (3, 1))
+            u[:, code.info_set] = rng.integers(0, 2, (3, code.K))
+            u[2, frozen[p % frozen.size]] ^= 1
+            rows = _encode_batch(kernel, u)
+            rows[1, p] = Symbol.ERASED
+            u_mp, f_mp = _map_decode_batch(code, rows)
+            alone = [decode_batch(code, rows[i : i + 1]) for i in range(3)]
+            for order in map(list, itertools.permutations(range(3))):
+                u_b, f_b = decode_batch(code, rows[order])
+                assert np.array_equal(u_b, u_mp[order])
+                assert np.array_equal(f_b, f_mp[order])
+                for row, i in enumerate(order):
+                    assert np.array_equal(u_b[row], alone[i][0][0])
+                    assert np.array_equal(f_b[row], alone[i][1][0])
+
+
 def test_decode_batch_of_no_frames_is_empty():
     code = PolarCode.construct(G101, 2, 4, 0.5)
     u_hat, flags = decode_batch(code, np.zeros((0, 9), np.uint8))

@@ -454,7 +454,7 @@ def test_group_survey_of_shuffled_kernels_with_repeats():
     assert len(records) == len(hit)
 
 
-@pytest.mark.parametrize("eps0", [0.0, -0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("eps0", [0.0, -0.1, 1.5, float("nan"), 1e-170])
 def test_surveys_refuse_design_rate_outside_unit_interval(eps0):
     def family():
         raise AssertionError("the family was read before the check")
@@ -465,6 +465,13 @@ def test_surveys_refuse_design_rate_outside_unit_interval(eps0):
     # 5x5 "all" is over budget, so a ValueError shows the check came first.
     with pytest.raises(ValueError, match="design erasure rate"):
         survey_family(5, "all", eps0, 3)
+
+
+@pytest.mark.parametrize("eps0", [1e-170, 1.5e-162])
+def test_signature_refuses_design_rate_whose_square_underflows(eps0):
+    assert eps0 > 0 and eps0 * eps0 == 0.0
+    with pytest.raises(ValueError, match="squares to 0"):
+        signature(G2, eps0, 2)
 
 
 @pytest.mark.parametrize("depth", [0, -1])
