@@ -19,6 +19,7 @@ Channel indices, like all indices in this package, are 0-based.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,6 +226,15 @@ def evolve_spectrum(k: Kernel, eps0: float, depth: int) -> Spectrum:
     return Spectrum(kernel=k, depth=depth, z=z[0], design_eps=eps0)
 
 
+def _normalisable(eps0: float) -> bool:
+    """Whether eps0 * eps0, the distance's normalisation, is a normal float.
+
+    A square that underflows to 0 leaves the distance undefined, and a
+    subnormal one loses precision enough to change a survey's grouping.
+    """
+    return eps0 * eps0 >= sys.float_info.min
+
+
 def polarisation_distance(s: Spectrum) -> float:
     """Normalised distance of a spectrum from complete polarisation.
 
@@ -236,8 +246,11 @@ def polarisation_distance(s: Spectrum) -> float:
     """
     if s.size == 0:
         raise ValueError("spectrum is empty")
-    if s.design_eps * s.design_eps == 0:
-        raise ValueError("normalisation undefined: design erasure rate squares to 0")
+    if not _normalisable(s.design_eps):
+        raise ValueError(
+            "normalisation undefined: design erasure rate squares to 0 or to a "
+            "subnormal float"
+        )
     m = np.minimum(np.abs(s.z), np.abs(1.0 - s.z))
     return float((m * m).mean() / (s.design_eps * s.design_eps))
 

@@ -125,8 +125,11 @@ def _cmd_analyze(ns) -> int:
     if ns.depth < 0:
         raise UsageError("--depth must be >= 0")
     spectrum = bec.evolve_spectrum(kernel, ns.eps, ns.depth)
-    # eps0^2 normalises d_p; it is undefined where that square is 0.
-    dist = bec.polarisation_distance(spectrum) if ns.eps * ns.eps else float("nan")
+    # eps0^2 normalises d_p; it is undefined where that square is 0 and
+    # imprecise where it is subnormal.
+    dist = float("nan")
+    if bec._normalisable(ns.eps):
+        dist = bec.polarisation_distance(spectrum)
     if ns.out:
         atomic_write_text(_out_path(ns.out), bec.spectrum_csv_text(spectrum))
     print(
@@ -140,9 +143,12 @@ def _cmd_survey(ns) -> int:
     if ns.size < 2:
         raise UsageError("--size must be >= 2")
     # A survey normalises by eps^2, so an eps whose square underflows to 0
-    # has no distance curves.
-    if not 0.0 < ns.eps <= 1.0 or ns.eps * ns.eps == 0.0:
-        raise UsageError(f"--eps must be in (0, 1] and square to > 0, got {ns.eps}")
+    # has no distance curves, and one whose square is subnormal has
+    # imprecise ones.
+    if not 0.0 < ns.eps <= 1.0 or not bec._normalisable(ns.eps):
+        raise UsageError(
+            f"--eps must be in (0, 1] and square to a normal float, got {ns.eps}"
+        )
     depth = ns.depth if ns.depth is not None else (7 if ns.size == 3 else 5)
     if depth < 1:
         raise UsageError("--depth must be >= 1")

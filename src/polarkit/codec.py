@@ -554,6 +554,9 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
                 flags[poison, lo : lo + m] = ~frozen[lo : lo + m]
                 return msg
         kappa = (known.astype(narrow) << shifts).sum(axis=1, dtype=narrow)
+        # Freed here, so no open level holds its (B, m) bools while the
+        # children run.
+        del known
         obs = ((v == 1).astype(narrow) << shifts).sum(axis=1, dtype=narrow)
         obs |= observed
         prior = np.zeros_like(kappa)
@@ -642,12 +645,18 @@ def map_oracle_decode(code: PolarCode, y) -> DecodeResult:
 # erasure-pattern screening
 #
 # The screen runs the genie-aided recursion on bit-packed knownness planes,
-# one plane of W bytes per message, eight trials per byte. It goes level by
-# level in node-major layout: a node of size S holds its S messages
-# contiguously, kernel operation b of the node reads messages b*l..b*l+l-1,
-# and child t receives output t of every operation. After k levels a node's
-# index is the base-l prefix (first k digits) of its input indices, so after
-# the last level the planes are in input order.
+# one plane of W bytes per message, eight trials per byte, level by level.
+# A node of size S holds its S messages contiguously, and child t of node p
+# is node p*l + t of the next level, so after k levels a node's index is the
+# base-l prefix (first k digits) of its input indices. Within a node the
+# screen keeps the decoder's layout: the planes are digit-reversed once, so
+# column c of the node's S/l kernel operations is the contiguous block of
+# messages c*S/l..(c+1)*S/l-1, and child t receives output t of every
+# operation in the child's own digit-reversed order. One array operation
+# then runs over whole blocks. For planes one element wide the reversal is a
+# gather of single words that costs about as much as the whole screen, so
+# they keep input order, where operation b reads messages b*l..b*l+l-1.
+# Either way the size-1 nodes of the last level are in input order.
 
 
 @functools.lru_cache(maxsize=128)
@@ -695,11 +704,11 @@ def _monotone_forms(kernel: Kernel) -> list[tuple[bool, list[list[int]]]]:
 def _screen_round(forms, ops, out, parents, scratch) -> None:
     """One kernel round of the screen over the operations of a level.
 
-    `ops` has shape (nodes, S/l, l, W): the l column planes of every kernel
-    operation of every node. `out[p, t]`, of shape (S/l, W), receives the
-    determination planes of input t of node p's operations, for the nodes p
-    in the slice `parents[t]` (none when it is None). `scratch` is a flat
-    buffer of at least nodes * S/l * W bytes.
+    `ops` has shape (nodes, l, S/l, W): `ops[p, c]` holds column c of every
+    kernel operation of node p. `out[p, t]`, of shape (S/l, W), receives the
+    determination planes of input t of node p's operations, in the same
+    operation order, for the nodes p in the slice `parents[t]` (none when it
+    is None). `scratch` is a flat buffer of at least nodes * S/l * W words.
     """
     for t, ((and_of_ors, groups), rows) in enumerate(zip(forms, parents)):
         if rows is None:
@@ -715,21 +724,22 @@ def _screen_round(forms, ops, out, parents, scratch) -> None:
         # and combined in; a one-column group is that column (x & x = x | x).
         for i, cols in enumerate(groups):
             dst = tmp if i else acc
-            inner(v[:, :, cols[0]], v[:, :, cols[-1]], out=dst)
+            inner(v[:, cols[0]], v[:, cols[-1]], out=dst)
             for c in cols[1:-1]:
-                inner(dst, v[:, :, c], out=dst)
+                inner(dst, v[:, c], out=dst)
             if i:
                 outer(acc, tmp, out=acc)
 
 
 def _screen_levels(kernel: Kernel, levels, planes: np.ndarray):
     """Run the screen's levels over (N, W) planes of unsigned words (uint8
-    or uint64), overwriting `planes`.
+    or uint64) in input order, overwriting `planes`.
 
     Each level is a `_ScreenLevel` over the nodes kept by the level above
     (the root first). Returns the AND of the planes of every message of
     every rate-1 child, and the (nodes * size, W) planes of the nodes kept
-    by the last level, in node-major order.
+    by the last level, node-major; within a node of size above 1 they are
+    in the layout of the comment above.
     """
     l, forms = kernel.l, _monotone_forms(kernel)
     n, width = planes.shape
@@ -739,10 +749,18 @@ def _screen_levels(kernel: Kernel, levels, planes: np.ndarray):
     dst = np.empty_like(src)
     scratch = np.empty(src.size // l, dtype=planes.dtype)
     info_known = np.full(width, ~planes.dtype.type(0), dtype=planes.dtype)
+    digit_reversed = width > 1
+    if digit_reversed:
+        perm = digit_reversal_permutation(l, round(math.log(n, l)))
+        np.take(planes, perm, axis=0, out=dst.reshape(n, width), mode="clip")
+        src, dst = dst, src
     nodes, size = 1, n
     for level in levels:
         span = nodes * size * width
-        v = src[:span].reshape(nodes, size // l, l, width)
+        if digit_reversed:
+            v = src[:span].reshape(nodes, l, size // l, width)
+        else:
+            v = src[:span].reshape(nodes, size // l, l, width).transpose(0, 2, 1, 3)
         out = dst[:span].reshape(nodes, l, size // l, width)
         _screen_round(forms, v, out, level.parents, scratch)
         children = out.reshape(nodes * l, size // l, width)

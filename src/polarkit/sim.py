@@ -408,7 +408,10 @@ def _decode_flagged(
     y = _encode_batch(code.kernel, u)
     # Symbols are 0 or 1, and a bool erasure shifted left once is 2 ==
     # Symbol.ERASED, so the maximum erases exactly the erased symbols.
-    np.maximum(y, _unpack_erased(rows, code.N).view(np.uint8) << 1, out=y)
+    erased = _unpack_erased(rows, code.N).view(np.uint8)
+    erased <<= 1
+    np.maximum(y, erased, out=y)
+    del erased  # not held through the decode
     bad, flags = decode_batch(code, y)
     bad ^= u  # 1 where a decision is wrong (decisions and bits are 0 or 1)
     bad |= flags  # or flagged

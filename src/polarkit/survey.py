@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gf2
-from .bec import _check_spectrum_budget, one_step_profile
+from .bec import _check_spectrum_budget, _normalisable, one_step_profile
 from .ioutil import atomic_write_text
 from .kernels import Kernel, family_rows, row_descriptors
 
@@ -143,9 +143,12 @@ def invertible_summary(records: Sequence[GroupRecord]) -> FamilySummary:
 
 def _check_curve_args(eps0: float, depth: int, min_depth: int) -> None:
     """Refuse a design rate outside (0, 1], NaN included, one whose square
-    (the curves' normalisation) underflows to 0, or a short depth."""
-    if not 0.0 < eps0 <= 1.0 or eps0 * eps0 == 0.0:
-        raise ValueError(f"design erasure rate {eps0} not in (0, 1] or squares to 0")
+    (the curves' normalisation) is not a normal float, or a short depth."""
+    if not 0.0 < eps0 <= 1.0 or not _normalisable(eps0):
+        raise ValueError(
+            f"design erasure rate {eps0} not in (0, 1] or squares to 0 or to a "
+            "subnormal float"
+        )
     if depth < min_depth:
         raise ValueError(f"depth must be >= {min_depth}, got {depth}")
 

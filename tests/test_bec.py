@@ -1,3 +1,5 @@
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -318,6 +320,17 @@ def test_distance_rejects_design_eps_whose_square_underflows():
     sp = evolve_spectrum(G2, 1e-170, 2)
     with pytest.raises(ValueError, match="squares to 0"):
         polarisation_distance(sp)
+
+
+def test_distance_rejects_design_eps_whose_square_is_subnormal():
+    eps0 = 1.6e-162
+    assert 0.0 < eps0 * eps0 < sys.float_info.min
+    with pytest.raises(ValueError, match="subnormal"):
+        polarisation_distance(evolve_spectrum(G2, eps0, 2))
+    # The smallest normal square is accepted.
+    eps0 = math.nextafter(math.sqrt(sys.float_info.min), 1.0)
+    assert eps0 * eps0 >= sys.float_info.min
+    assert math.isfinite(polarisation_distance(evolve_spectrum(G2, eps0, 2)))
 
 
 @given(st.integers(0, 2**16 - 1), st.integers(1, 7))

@@ -314,7 +314,7 @@ def test_huge_depth_refused_with_exit_3(tmp_path, monkeypatch, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("eps", ["0", "nan", "1.5", "-0.25", "1e-170"])
+@pytest.mark.parametrize("eps", ["0", "nan", "1.5", "-0.25", "1e-170", "1.6e-162"])
 def test_survey_design_rate_outside_unit_interval_exits_2(tmp_path, capsys, eps):
     out = tmp_path / "survey.csv"
     assert run(["survey", "--size", "3", "--eps", eps, "--out", str(out)]) == 2
@@ -325,6 +325,16 @@ def test_survey_design_rate_outside_unit_interval_exits_2(tmp_path, capsys, eps)
 
 def test_analyze_at_eps_zero_still_reports_nan_distance(capsys):
     assert run(["analyze", "--kernel", "10,11", "--eps", "0", "--depth", "2"]) == 0
+    assert "d_p=nan" in capsys.readouterr().out
+
+
+def test_analyze_at_eps_with_subnormal_square_reports_nan_distance(capsys):
+    # 1.6e-162 squares to a subnormal double, which would make the distance
+    # imprecise.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["analyze", "--kernel", "10,11", "--eps", "1.6e-162",
+                    "--depth", "2"]) == 0
     assert "d_p=nan" in capsys.readouterr().out
 
 

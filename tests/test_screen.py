@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarkit import PolarCode, parse_kernel
+from polarkit import Kernel, PolarCode, gf2, parse_kernel
 from polarkit.codec import (
+    _encode_batch,
     _kron_encode,
     _node_plan,
     _screen_known_planes,
+    _screen_levels,
     _screen_positions,
+    _ScreenLevel,
     decode_batch,
 )
+from polarkit.kernels import digit_reversal_permutation
 from polarkit.sim import _bit_transpose, _known_rows
 
 G2 = parse_kernel("10,11")
@@ -147,3 +151,102 @@ def test_node_plan_is_computed_once_per_code():
     # The reached rate-0 nodes are disjoint, and nothing else is encoded.
     assert covered.max() == 1 and not plan.encoded[covered == 0].any()
     assert plan.encoded.any()
+
+
+def random_invertible_kernel(l, rng):
+    while True:
+        m = rng.integers(0, 2, (l, l), dtype=np.uint8)
+        if gf2.rank(m) == l:
+            return Kernel(m)
+
+
+_LAYOUT_RNG = np.random.default_rng(2015)
+LAYOUT_CODES = [(G3, 3), (GE, 3)] + [
+    (random_invertible_kernel(l, _LAYOUT_RNG), 2) for l in (5, 6, 7)
+]
+# The pruned screen, which views whole words as uint64, sees planes one byte
+# wide (8 trials), one word wide (64), five bytes (40) and three words (192);
+# the first two keep input order and the others are digit-reversed. The full
+# screen reads the same planes as 1, 8, 5 and 24 bytes.
+PLANE_TRIALS = [8, 64, 40, 192]
+
+
+def erasures_at_spread_rates(n, trials, rng):
+    """(trials, n) erasure patterns at rates from 0 to 0.7, so that every
+    code sees both frame verdicts."""
+    rates = np.linspace(0.0, 0.7, trials)[:, None]
+    return rng.random((trials, n)) < rates
+
+
+@pytest.mark.parametrize("trials", PLANE_TRIALS, ids=lambda t: f"{t}trials")
+@pytest.mark.parametrize(
+    "kernel,depth",
+    LAYOUT_CODES,
+    ids=[f"l={kernel.l}-depth{depth}" for kernel, depth in LAYOUT_CODES],
+)
+def test_screen_at_every_plane_width_matches_full_screen_and_decoder(
+    kernel, depth, trials
+):
+    rng = np.random.default_rng(trials * 100 + kernel.l)
+    n = kernel.l**depth
+    erased = erasures_at_spread_rates(n, trials, rng)
+    known = np.packbits(~erased.T, axis=1)
+    full = _screen_positions(kernel, depth, known.copy())
+    # The full screen of each byte column alone (one-element-wide planes, in
+    # input order) equals that column of the full screen of all of them.
+    for j in range(known.shape[1]):
+        column = _screen_positions(kernel, depth, known[:, j : j + 1].copy())
+        assert np.array_equal(column[:, 0], full[:, j])
+    undetermined = np.unpackbits(~full, axis=1, count=trials).T == 1
+    for code in (
+        PolarCode.construct(kernel, depth, n // 2, 0.5),
+        code_with_mask(kernel, depth, mask_with_k(n, n // 3, rng), rng),
+    ):
+        frames = pruned_frames(code, known)
+        assert np.array_equal(frames, reference_frames(code, known))
+        # The decoder on honest words: the same frames err, and each erring
+        # frame is first flagged where the genie screen first fails.
+        u = rng.integers(0, 2, (trials, n), dtype=np.uint8)
+        u[:, code.frozen_mask == 1] = code.frozen_values[code.frozen_mask == 1]
+        y = np.where(erased, np.uint8(2), _encode_batch(kernel, u))
+        u_hat, flags = decode_batch(code, y)
+        info = code.info_set
+        wrong = (u_hat[:, info] != u[:, info]) | (flags[:, info] == 1)
+        errs = wrong.any(axis=1)
+        assert np.array_equal(np.unpackbits(frames, count=trials) == 1, errs)
+        assert 0 < errs.sum() < trials
+        screened = undetermined[:, info]
+        assert np.array_equal(screened.any(axis=1), errs)
+        first = np.argmax(screened[errs], axis=1)
+        assert np.array_equal(first, np.argmax(flags[errs][:, info], axis=1))
+
+
+@pytest.mark.parametrize(
+    "width,dtype",
+    [(1, np.uint8), (1, np.uint64), (5, np.uint8), (3, np.uint64)],
+    ids=["1xuint8", "1xuint64", "5xuint8", "3xuint64"],
+)
+@pytest.mark.parametrize("kernel,depth", [(G2, 4), (G3, 3), (GE, 3)], ids=repr)
+def test_screen_level_output_layout_depends_only_on_plane_width(
+    kernel, depth, width, dtype
+):
+    # After one level, child t of the root holds input t of every kernel
+    # operation: in input order for planes one element wide, and in the
+    # child's own digit-reversed order for wider planes, the decoder's layout.
+    l, n = kernel.l, kernel.l**depth
+    rng = np.random.default_rng(n + width)
+    nbytes = width * np.dtype(dtype).itemsize
+    planes = rng.integers(0, 256, (n, nbytes), dtype=np.uint8)
+    planes |= rng.integers(0, 256, planes.shape, dtype=np.uint8)
+    keep_all = _ScreenLevel((slice(None),) * l, info=None, mixed=None)
+    got = _screen_levels(kernel, (keep_all,), planes.copy().view(dtype))[1]
+    # One level is one kernel round of operation b over inputs b*l..b*l+l-1.
+    ops = [
+        _screen_positions(kernel, 1, planes[b * l : (b + 1) * l].copy())
+        for b in range(n // l)
+    ]
+    natural = np.stack(ops, axis=1).reshape(n, nbytes).view(dtype)
+    if width > 1:
+        perm = digit_reversal_permutation(l, depth - 1)
+        natural = natural.reshape(l, n // l, width)[:, perm].reshape(n, width)
+    assert np.array_equal(got, natural)

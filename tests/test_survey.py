@@ -1,3 +1,5 @@
+import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -454,7 +456,7 @@ def test_group_survey_of_shuffled_kernels_with_repeats():
     assert len(records) == len(hit)
 
 
-@pytest.mark.parametrize("eps0", [0.0, -0.1, 1.5, float("nan"), 1e-170])
+@pytest.mark.parametrize("eps0", [0.0, -0.1, 1.5, float("nan"), 1e-170, 1.6e-162])
 def test_surveys_refuse_design_rate_outside_unit_interval(eps0):
     def family():
         raise AssertionError("the family was read before the check")
@@ -472,6 +474,34 @@ def test_signature_refuses_design_rate_whose_square_underflows(eps0):
     assert eps0 > 0 and eps0 * eps0 == 0.0
     with pytest.raises(ValueError, match="squares to 0"):
         signature(G2, eps0, 2)
+
+
+def _smallest_normalisable_rate():
+    """The least positive double whose square is a normal float."""
+    eps0 = math.sqrt(sys.float_info.min)
+    while eps0 * eps0 >= sys.float_info.min:
+        eps0 = math.nextafter(eps0, 0.0)
+    return math.nextafter(eps0, 1.0)
+
+
+def _census(records):
+    summary = invertible_summary(records)
+    return len(records), summary.curve_count, summary.best_group_size
+
+
+def test_smallest_rate_with_normal_square_is_surveyed_and_the_next_below_refused():
+    eps0 = _smallest_normalisable_rate()
+    below = math.nextafter(eps0, 0.0)
+    assert 0.0 < below * below < sys.float_info.min
+    # A subnormal square made the 3x3 census 4 groups, 2 curves and a best
+    # group of 144; a normal one gives the census of every moderate rate.
+    census = _census(survey_family(3, "all", eps0, 2))
+    assert census == _census(survey_family(3, "all", 1e-100, 2)) == (7, 3, 48)
+    with pytest.raises(ValueError, match="subnormal"):
+        survey_family(3, "all", below, 2)
+    with pytest.raises(ValueError, match="subnormal"):
+        signature(G2, below, 2)
+    signature(G2, eps0, 2)
 
 
 @pytest.mark.parametrize("depth", [0, -1])
