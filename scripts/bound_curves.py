@@ -11,27 +11,16 @@ from pathlib import Path
 
 import numpy as np
 
-from polarkit import (
-    bler_upper_bound,
-    enumerate_kernels,
-    evolve_spectrum,
-    parse_kernel,
-)
+from polarkit import bound_curve, enumerate_kernels, evolve_spectrum, parse_kernel
 from polarkit.ioutil import atomic_write_text
 
 RATES = np.linspace(0.05, 0.95, 19)
 
 
 def bound_rows(kernel, depth, eps):
-    spectrum = evolve_spectrum(kernel, eps, depth)
-    rows = []
-    for rate in RATES:
-        k_info = round(float(rate) * spectrum.size)
-        rows.append(
-            f"{kernel.descriptor().replace(',', ';')},{rate:.12g},{k_info},"
-            f"{bler_upper_bound(spectrum, k_info):.12g}"
-        )
-    return rows
+    name = kernel.descriptor().replace(",", ";")
+    rows = bound_curve(evolve_spectrum(kernel, eps, depth), RATES)
+    return [f"{name},{rate:.12g},{k_info},{bound:.12g}" for rate, k_info, bound in rows]
 
 
 def main():

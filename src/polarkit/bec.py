@@ -19,13 +19,14 @@ Channel indices, like all indices in this package, are 0-based.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check_unit_interval
 from .kernels import Kernel, reference_generator
 
 _MAX_PROFILE_SIZE = 20
@@ -152,8 +153,7 @@ def evaluate_erasure(p: TransitionProfile, i: int, z: float) -> float:
     """Erasure probability of split channel i at raw erasure rate z."""
     if not 0 <= i < p.l:
         raise ValueError(f"channel index {i} out of range for l={p.l}")
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"erasure rate must be in [0, 1], got {z}")
+    check_unit_interval(z, "erasure rate")
     return float(bernstein_eval(np.array(p.counts[i]), z))
 
 
@@ -215,8 +215,8 @@ def evolve_spectrum(k: Kernel, eps0: float, depth: int) -> Spectrum:
     The last level of `_spectrum_levels` for a batch of one kernel; depth = 0
     returns [eps0].
     """
-    if not 0.0 <= eps0 <= 1.0:
-        raise ValueError(f"design erasure rate must be in [0, 1], got {eps0}")
+    check_unit_interval(eps0, "design erasure rate")
+    depth = operator.index(depth)
     if depth < 0:
         raise ValueError("depth must be >= 0")
     _check_spectrum_budget(k.l, depth)
@@ -277,8 +277,7 @@ def bound_curve(s: Spectrum, rates) -> list[tuple[float, int, float]]:
     """(rate, K, union bound) rows with K = round(rate * N)."""
     rows = []
     for rate in rates:
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {rate}")
+        check_unit_interval(rate, "rate")
         k_info = round(rate * s.size)
         rows.append((float(rate), k_info, bler_upper_bound(s, k_info)))
     return rows
@@ -307,8 +306,7 @@ def exhaustive_split_oracle(k: Kernel, depth: int, eps: float, i: int) -> float:
     marginalising the future inputs uniformly. Independent of the count-table
     machinery above; used as its ground truth. N = l^depth must not exceed 8.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"erasure rate must be in [0, 1], got {eps}")
+    check_unit_interval(eps, "erasure rate")
     n_block = k.l**depth
     if n_block > _MAX_ORACLE_BLOCK:
         raise BudgetExceededError(

@@ -2,9 +2,10 @@
 
 Subcommands: analyze, survey, exponent, bound, construct, simulate,
 oracle-check. Every option is validated before any computation starts; file
-outputs are written atomically. Exit codes: 0 success, 2 invalid input,
-3 computational or I/O failure. Relative output paths resolve under
-$POLARKIT_OUT_DIR when it is set.
+outputs are written atomically. Exit codes: 0 success; 3 for a budget,
+memory or I/O failure (BudgetExceededError, MemoryError, OSError) and a
+failed oracle check; 2 for any other ValueError, each of which refuses bad
+input. Relative output paths resolve under $POLARKIT_OUT_DIR when it is set.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from . import bec, survey as survey_mod
 from .codec import PolarCode
-from .errors import BudgetExceededError, KernelFormatError
+from .errors import _SEED_LIMIT, BudgetExceededError, check_key_word, check_unit_interval
 # enumerate_kernels is unused here but stays importable: bench/tracing.py
 # hooks `polarkit.cli.enumerate_kernels`.
 from .kernels import (  # noqa: F401
@@ -29,14 +30,10 @@ from .kernels import (  # noqa: F401
     row_descriptors,
 )
 from .ioutil import atomic_write_text
-from .sim import _SEED_LIMIT, StopRule, run_monte_carlo, sim_csv_text
+from .sim import StopRule, run_monte_carlo, sim_csv_text
 
 _ORACLE_EPS = (0.1, 0.3, 0.5, 0.7, 0.9)
 _ORACLE_TOL = 1e-12
-
-
-class UsageError(ValueError):
-    """Invalid option values (exit code 2)."""
 
 
 def _out_path(name: str) -> Path:
@@ -45,12 +42,6 @@ def _out_path(name: str) -> Path:
     if base and not p.is_absolute():
         return Path(base) / p
     return p
-
-
-def _check_eps(value: float, label: str = "--eps") -> float:
-    if not 0.0 <= value <= 1.0:
-        raise UsageError(f"{label} must be in [0, 1], got {value}")
-    return value
 
 
 def parse_args(argv) -> argparse.Namespace:
@@ -121,9 +112,9 @@ def parse_args(argv) -> argparse.Namespace:
 
 def _cmd_analyze(ns) -> int:
     kernel = parse_kernel(ns.kernel)
-    _check_eps(ns.eps)
+    check_unit_interval(ns.eps, "--eps")
     if ns.depth < 0:
-        raise UsageError("--depth must be >= 0")
+        raise ValueError("--depth must be >= 0")
     spectrum = bec.evolve_spectrum(kernel, ns.eps, ns.depth)
     # eps0^2 normalises d_p; it is undefined where that square is 0 and
     # imprecise where it is subnormal.
@@ -141,17 +132,17 @@ def _cmd_analyze(ns) -> int:
 
 def _cmd_survey(ns) -> int:
     if ns.size < 2:
-        raise UsageError("--size must be >= 2")
+        raise ValueError("--size must be >= 2")
     # A survey normalises by eps^2, so an eps whose square underflows to 0
     # has no distance curves, and one whose square is subnormal has
     # imprecise ones.
     if not 0.0 < ns.eps <= 1.0 or not bec._normalisable(ns.eps):
-        raise UsageError(
+        raise ValueError(
             f"--eps must be in (0, 1] and square to a normal float, got {ns.eps}"
         )
     depth = ns.depth if ns.depth is not None else (7 if ns.size == 3 else 5)
     if depth < 1:
-        raise UsageError("--depth must be >= 1")
+        raise ValueError("--depth must be >= 1")
     records = survey_mod.survey_family(ns.size, ns.family, ns.eps, depth)
     if ns.out:
         survey_mod.export_survey(records, _out_path(ns.out))
@@ -172,11 +163,11 @@ def _cmd_exponent(ns) -> int:
         batches = [([k.descriptor()], [k.row_bits()], k.l) for k in kernels]
     elif ns.size is not None:
         if ns.size < 2:
-            raise UsageError("--size must be >= 2")
+            raise ValueError("--size must be >= 2")
         rows = family_rows(ns.size, ns.family)
         batches = [(row_descriptors(rows), rows, ns.size)]
     else:
-        raise UsageError("provide --kernel or --size")
+        raise ValueError("provide --kernel or --size")
     # Every batch is computed before the first line is printed, so a refused
     # kernel leaves no partial output.
     tables = [
@@ -194,15 +185,17 @@ def _cmd_exponent(ns) -> int:
 
 def _cmd_bound(ns) -> int:
     kernel = parse_kernel(ns.kernel)
-    _check_eps(ns.eps)
+    check_unit_interval(ns.eps, "--eps")
     if ns.depth < 0:
-        raise UsageError("--depth must be >= 0")
+        raise ValueError("--depth must be >= 0")
     try:
         rates = [float(r) for r in ns.rates.split(",") if r]
     except ValueError as exc:
-        raise UsageError(f"bad --rates: {exc}") from None
-    if not rates or any(not 0.0 <= r <= 1.0 for r in rates):
-        raise UsageError("--rates values must be in [0, 1]")
+        raise ValueError(f"bad --rates: {exc}") from None
+    if not rates:
+        raise ValueError("--rates values must be in [0, 1]")
+    for rate in rates:
+        check_unit_interval(rate, "--rates values")
     spectrum = bec.evolve_spectrum(kernel, ns.eps, ns.depth)
     rows = bec.bound_curve(spectrum, rates)
     shown = [f"R={rate:g}:{bound:.3g}" for rate, _, bound in rows]
@@ -219,13 +212,12 @@ def _resolve_k(ns, n: int) -> int:
     if ns.info_k is not None:
         k_info = ns.info_k
     elif ns.rate is not None:
-        if not 0.0 <= ns.rate <= 1.0:
-            raise UsageError("--rate must be in [0, 1]")
+        check_unit_interval(ns.rate, "--rate")
         k_info = round(ns.rate * n)
     else:
-        raise UsageError("provide --rate or --k")
+        raise ValueError("provide --rate or --k")
     if not 0 <= k_info <= n:
-        raise UsageError(f"K must be in [0, {n}]")
+        raise ValueError(f"K must be in [0, {n}]")
     return k_info
 
 
@@ -233,10 +225,10 @@ def _construct_code(ns, design_eps: float, eps_label: str) -> PolarCode:
     """The code of --kernel, --depth and --rate (or --k) at `design_eps`."""
     kernel = parse_kernel(ns.kernel)
     if not kernel.invertible:
-        raise UsageError("codes require an invertible kernel")
+        raise ValueError("codes require an invertible kernel")
     if ns.depth < 0:
-        raise UsageError("--depth must be >= 0")
-    _check_eps(design_eps, eps_label)
+        raise ValueError("--depth must be >= 0")
+    check_unit_interval(design_eps, eps_label)
     # Checked before l**depth is formed, which would not finish for a huge
     # depth.
     bec._check_spectrum_budget(kernel.l, ns.depth)
@@ -262,35 +254,34 @@ def _json_int(text: str) -> int:
 
 
 def _cmd_simulate(ns) -> int:
-    if not 0 <= ns.seed < _SEED_LIMIT:
-        raise UsageError(f"--seed must be in [0, 2**64), got {ns.seed}")
+    check_key_word(ns.seed, "--seed")
     if ns.code:
         try:
             with open(_out_path(ns.code)) as fh:
                 code = PolarCode.from_json_dict(json.load(fh, parse_int=_json_int))
         except FileNotFoundError as exc:
-            raise UsageError(f"code file not found: {exc.filename}") from None
+            raise ValueError(f"code file not found: {exc.filename}") from None
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             # Field checks raise the first three (JSONDecodeError is a ValueError);
             # a huge design_eps overflows float() and deep nesting json.load.
-            raise UsageError(f"bad code descriptor: {exc}") from None
+            raise ValueError(f"bad code descriptor: {exc}") from None
     elif ns.kernel and ns.depth is not None:
         ns.info_k = None
         code = _construct_code(ns, ns.design_eps, "--design-eps")
     else:
-        raise UsageError("provide --code, or --kernel with --depth and --rate")
+        raise ValueError("provide --code, or --kernel with --depth and --rate")
     try:
         eps_list = [float(e) for e in ns.eps.split(",") if e]
     except ValueError as exc:
-        raise UsageError(f"bad --eps: {exc}") from None
+        raise ValueError(f"bad --eps: {exc}") from None
     if not eps_list:
-        raise UsageError("--eps must list at least one channel rate")
+        raise ValueError("--eps must list at least one channel rate")
     for e in eps_list:
-        _check_eps(e)
+        check_unit_interval(e, "--eps")
     if ns.min_frame_errors < 1 or ns.max_trials < 1:
-        raise UsageError("--min-frame-errors and --max-trials must be >= 1")
+        raise ValueError("--min-frame-errors and --max-trials must be >= 1")
     if ns.max_trials > _SEED_LIMIT:
-        raise UsageError("--max-trials must be <= 2**64: trial ids are 64-bit")
+        raise ValueError("--max-trials must be <= 2**64: trial ids are 64-bit")
     stop = StopRule(min_frame_errors=ns.min_frame_errors, max_trials=ns.max_trials)
     reports = []
     for eps in eps_list:
@@ -343,13 +334,14 @@ _DISPATCH = {
 def execute(ns: argparse.Namespace) -> int:
     try:
         return _DISPATCH[ns.command](ns)
-    except (UsageError, KernelFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (BudgetExceededError, MemoryError, OSError, ValueError) as exc:
+    except (BudgetExceededError, MemoryError, OSError) as exc:
         # a bare MemoryError has no message
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # Every other ValueError, KernelFormatError included, refuses input.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

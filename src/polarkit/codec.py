@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -63,7 +64,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf2
-from .errors import BudgetExceededError, DecodingIntegrityError
+from .errors import BudgetExceededError, DecodingIntegrityError, check_unit_interval
 from .bec import _check_spectrum_budget, evolve_spectrum, select_information_set
 from .kernels import Kernel, digit_reversal_permutation
 
@@ -121,13 +122,11 @@ class PolarCode:
     def __post_init__(self):
         if not self.kernel.invertible:
             raise ValueError("polar codes require an invertible kernel")
+        object.__setattr__(self, "depth", operator.index(self.depth))
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
         _check_spectrum_budget(self.kernel.l, self.depth)
-        if not 0.0 <= self.design_eps <= 1.0:
-            raise ValueError(
-                f"design erasure rate must be in [0, 1], got {self.design_eps}"
-            )
+        check_unit_interval(self.design_eps, "design erasure rate")
         n = self.kernel.l**self.depth
         mask = gf2.as_bits(self.frozen_mask, 1)
         vals = gf2.as_bits(self.frozen_values, 1)

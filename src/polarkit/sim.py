@@ -49,11 +49,11 @@ planes, so the screen returns the frame-error plane of the chunk directly
 (`codec._screen_known_planes`). The screen alone fixes the frame-error count
 and the stop: a chunk ends early at its flagged trial that spends the error
 budget, then decides once whether the run stops. Flagged trials wait, with
-their known rows, for the full decoder until _DECODE_FRAMES are pending or
-the run stops. That flush first frees the spent chunk (its rows, planes and
-frame-error plane), then decodes them in batches of at most _DECODE_FRAMES
-frames and _BATCH_SYMBOLS symbols, so its memory grows neither with how many
-frames one chunk flags nor, beyond N = 16,384, with N.
+their known rows, until one decode batch (at most _DECODE_FRAMES frames and
+_BATCH_SYMBOLS symbols) is pending or the run stops. That flush frees the
+spent chunk (its rows, planes and frame-error plane), then decodes them in
+such batches, so its memory grows neither with how many frames one chunk
+flags nor, beyond N = 16,384, with N.
 The tallies are exactly those of decoding every trial individually
 (verified in tests against the literal per-trial loop).
 """
@@ -76,10 +76,9 @@ from .codec import (
     decode_batch,
 )
 from . import gf2
+from .errors import _SEED_LIMIT, check_key_word, check_unit_interval
 
 _CHANNEL_TAG = 1 << 62
-#: master seeds and trial ids are Philox key words: integers in [0, 2**64)
-_SEED_LIMIT = 1 << 64
 
 #: two-sided 95% normal quantile, used by the Wilson interval
 _Z95 = 1.959963984540054
@@ -99,23 +98,10 @@ class BecChannel:
     trial_index: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.eps <= 1.0:
-            raise ValueError(f"erasure probability must be in [0, 1], got {self.eps}")
-        _check_seed(self.master_seed)
-        try:
-            trial = operator.index(self.trial_index)
-        except TypeError:
-            raise TypeError(
-                f"trial index must be an integer, got {self.trial_index!r}"
-            ) from None
-        if not 0 <= trial < _SEED_LIMIT:
-            raise ValueError(f"trial index must be in [0, 2**64), got {trial}")
-        object.__setattr__(self, "trial_index", trial)
-
-
-def _check_seed(master_seed: int) -> None:
-    if not 0 <= master_seed < _SEED_LIMIT:
-        raise ValueError(f"master seed must be in [0, 2**64), got {master_seed}")
+        check_unit_interval(self.eps, "erasure probability")
+        for name in ("master_seed", "trial_index"):
+            word = check_key_word(getattr(self, name), name.replace("_", " "))
+            object.__setattr__(self, name, word)
 
 
 @dataclass(frozen=True)
@@ -239,8 +225,8 @@ def _bit_transpose(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
 #: trial's row, a multiple of 64 symbols long)
 _BLOCK_SYMBOLS = 1 << 16
 
-#: flagged frames held back before a flush, and the most frames one decode
-#: takes; a flush frees the spent chunk, then decodes in batches of this size
+#: the most frames one decode takes; a flush starts once one decode batch is
+#: pending, frees the spent chunk, then decodes in batches
 _DECODE_FRAMES = 1 << 10
 
 #: symbols one chunk or one decode takes at most (but never fewer than 64
@@ -430,9 +416,8 @@ def run_monte_carlo(
     min_frame_errors-th frame error. Results are byte-identical for identical
     (code, eps, stop, master_seed) regardless of chunk size or decode budget.
     """
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"erasure probability must be in [0, 1], got {eps}")
-    _check_seed(master_seed)
+    check_unit_interval(eps, "erasure probability")
+    master_seed = check_key_word(master_seed, "master seed")
     n, plan = code.N, _node_plan(code)
     n64 = -(-n // 64)
     size = min(_CHUNK_TRIALS, max(64, (_BATCH_SYMBOLS // n) & ~63))
@@ -461,7 +446,7 @@ def run_monte_carlo(
             chunk = int(flagged[-1]) + 1
         trials += chunk
         done = trials >= stop.max_trials or frame_errors >= stop.min_frame_errors
-        if pending and (pending >= _DECODE_FRAMES or done):
+        if pending and (pending >= step or done):
             # The spent chunk is not read again; free it before decoding.
             del rows, known, frame_plane
             ids, held = np.concatenate(pending_ids), np.concatenate(pending_rows)

@@ -461,3 +461,11 @@ def test_spectrum_csv_header_and_identity():
     for line in lines[1:]:
         _, z, cap = line.split(",")
         assert float(z) + float(cap) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spectrum_depth_must_be_an_integer():
+    with pytest.raises(TypeError):
+        evolve_spectrum(G2, 0.5, 2.0)
+    spectrum = evolve_spectrum(G2, 0.5, np.int64(2))
+    assert type(spectrum.depth) is int
+    assert np.array_equal(spectrum.z, evolve_spectrum(G2, 0.5, 2).z)

@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+from polarkit import BudgetExceededError
 from polarkit.cli import main, parse_args
 
 
@@ -403,6 +404,8 @@ def test_simulate_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
 
 
 _SIM_CODE = ["simulate", "--kernel", "10,11", "--depth", "4", "--rate", "0.5"]
+# refused before anything is written
+_CONSTRUCT = ["construct", "--kernel", "10,11", "--out", "refused.json"]
 
 
 @pytest.mark.parametrize(
@@ -418,11 +421,20 @@ _SIM_CODE = ["simulate", "--kernel", "10,11", "--depth", "4", "--rate", "0.5"]
         (["exponent"], "provide --kernel or --size"),
         (["bound", "--kernel", "10,11", "--depth", "3", "--rates", "x"],
          "bad --rates"),
+        (["analyze", "--kernel", "10,11", "--depth", "-1"], "--depth must be >= 0"),
+        (["survey", "--size", "1"], "--size must be >= 2"),
+        (["bound", "--kernel", "10,11", "--depth", "3", "--rates", "0.5,1.5"],
+         "--rates values must be in [0, 1]"),
+        (_CONSTRUCT + ["--depth", "3", "--rate", "1.5"], "--rate must be in [0, 1]"),
+        (_CONSTRUCT + ["--depth", "3"], "provide --rate or --k"),
+        (_CONSTRUCT + ["--depth", "-1", "--rate", "0.5"], "--depth must be >= 0"),
     ],
     ids=["simulate_eps_malformed", "simulate_eps_empty",
          "simulate_min_frame_errors_0", "simulate_max_trials_above_2_64",
          "survey_depth_0", "exponent_no_kernel",
-         "bound_rates_malformed"],
+         "bound_rates_malformed", "analyze_depth_negative", "survey_size_1",
+         "bound_rate_above_1", "construct_rate_above_1",
+         "construct_without_rate_or_k", "construct_depth_negative"],
 )
 def test_bad_option_value_exits_2(capsys, argv, message):
     assert run(argv) == 2
@@ -450,3 +462,22 @@ def test_oracle_check_mismatch_exits_3(monkeypatch, capsys):
     assert run(["oracle-check", "--kernel", "100,110,011"]) == 3
     out = capsys.readouterr().out
     assert out.startswith("oracle-check kernel=100,110,011 FAILED max|delta|=1e-09")
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(ValueError("refused by the library"), 2),
+     (BudgetExceededError("refused by the library"), 3)],
+    ids=["value_error", "budget_exceeded"],
+)
+def test_library_exception_type_sets_the_exit_code(monkeypatch, capsys, error, code):
+    # Any ValueError refuses input, even one that no CLI check mirrors; a
+    # BudgetExceededError (a ValueError too) is a resource failure.
+    from polarkit import bec
+
+    def refuse(*args):
+        raise error
+
+    monkeypatch.setattr(bec, "evolve_spectrum", refuse)
+    assert run(["analyze", "--kernel", "10,11", "--depth", "2"]) == code
+    assert capsys.readouterr().err == "error: refused by the library\n"

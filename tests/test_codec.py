@@ -980,3 +980,14 @@ def test_decode_batch_of_no_frames_is_empty():
     u_hat, flags = decode_batch(code, np.zeros((0, 9), np.uint8))
     for out in (u_hat, flags):
         assert out.shape == (0, 9) and out.dtype == np.uint8
+
+
+def test_code_depth_must_be_an_integer():
+    # A float depth would give N = 4.0 and fail later, deep in the decoder.
+    with pytest.raises(TypeError):
+        PolarCode(kernel=G2, depth=2.0, frozen_mask=[1, 1, 0, 0], frozen_values=[0] * 4)
+    code = PolarCode(
+        kernel=G2, depth=np.int64(2), frozen_mask=[1, 1, 0, 0], frozen_values=[0] * 4
+    )
+    assert type(code.depth) is int and type(code.N) is int
+    assert code.code_id() == "10,11|depth=2|K=2|design_eps=0.5"

@@ -513,3 +513,59 @@ def test_reports_do_not_depend_on_chunking(data):
     assert sim_csv_text([got]) == want
     if code is _CHUNKING_CODES[0]:
         assert got == _run_direct(code, eps, stop, master_seed=29)
+
+
+@pytest.mark.parametrize("seed", [0.9, 1.5])
+def test_seeds_that_are_not_integers_are_refused(seed):
+    # A float is never truncated to a key word: 0.9 would run seed 0.
+    code = PolarCode.construct(G2, 3, 4, 0.5)
+    with pytest.raises(TypeError, match="master seed must be an integer"):
+        run_monte_carlo(code, 0.5, StopRule(5, 100), master_seed=seed)
+    with pytest.raises(TypeError, match="master seed must be an integer"):
+        BecChannel(0.5, master_seed=seed)
+
+
+def test_numpy_integer_seeds_are_reported_as_int():
+    code = PolarCode.construct(G2, 3, 4, 0.5)
+    report = run_monte_carlo(code, 0.5, StopRule(5, 100), master_seed=np.uint64(7))
+    assert type(report.master_seed) is int
+    assert report == run_monte_carlo(code, 0.5, StopRule(5, 100), master_seed=7)
+    assert type(BecChannel(0.5, np.int64(7)).master_seed) is int
+
+
+def test_flush_holds_back_fewer_frames_than_one_decode_batch(monkeypatch):
+    # 2,600 symbols make a decode batch 10 frames of N = 256 and a chunk 64
+    # trials, nearly all of them flagged at rate 3/4 and eps 0.5. A flush
+    # starts once one batch is pending, so fewer than 10 flagged frames wait
+    # whenever a chunk starts, and the rows held do not grow with N.
+    monkeypatch.setattr(sim, "_CHUNK_TRIALS", 512)
+    code = PolarCode.construct(G2, 8, 192, 0.5)
+    stop = StopRule(1200, 1536)
+    want = run_monte_carlo(code, 0.5, stop, master_seed=8)
+
+    flagged, decoded, waiting = [0], [0], []
+    screen, decode_batch, known_rows = (
+        sim._screen_known_planes, sim.decode_batch, sim._known_rows
+    )
+
+    def counting_screen(kernel, plan, known):
+        plane = screen(kernel, plan, known)
+        flagged[0] += int(np.unpackbits(plane).sum())
+        return plane
+
+    def counting_decode(code, ys):
+        decoded[0] += ys.shape[0]
+        return decode_batch(code, ys)
+
+    def chunk_start(*args):
+        waiting.append(flagged[0] - decoded[0])
+        return known_rows(*args)
+
+    monkeypatch.setattr(sim, "_BATCH_SYMBOLS", 2600)
+    monkeypatch.setattr(sim, "_screen_known_planes", counting_screen)
+    monkeypatch.setattr(sim, "decode_batch", counting_decode)
+    monkeypatch.setattr(sim, "_known_rows", chunk_start)
+    got = run_monte_carlo(code, 0.5, stop, master_seed=8)
+    assert got == want and decoded[0] == want.frame_errors
+    assert len(waiting) == -(-want.trials // 64) > 10
+    assert max(waiting) < 10
