@@ -99,9 +99,10 @@ class BecChannel:
 
     def __post_init__(self):
         check_unit_interval(self.eps, "erasure probability")
-        for name in ("master_seed", "trial_index"):
-            word = check_key_word(getattr(self, name), name.replace("_", " "))
-            object.__setattr__(self, name, word)
+        seed = check_key_word(self.master_seed, "master seed")
+        trial = check_key_word(self.trial_index, "trial index")
+        object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "trial_index", trial)
 
 
 @dataclass(frozen=True)
