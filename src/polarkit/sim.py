@@ -52,8 +52,8 @@ budget, then decides once whether the run stops. Flagged trials wait, with
 their known rows, until one decode batch (at most _DECODE_FRAMES frames and
 _BATCH_SYMBOLS symbols) is pending or the run stops. That flush frees the
 spent chunk (its rows, planes and frame-error plane), then decodes them in
-such batches, so its memory grows neither with how many frames one chunk
-flags nor, beyond N = 16,384, with N.
+such batches. Fewer than one batch waits between chunks, so at any N a
+flush holds at most one batch more than its chunk's own flagged rows.
 The tallies are exactly those of decoding every trial individually
 (verified in tests against the literal per-trial loop).
 """
