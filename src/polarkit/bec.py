@@ -19,14 +19,13 @@ Channel indices, like all indices in this package, are 0-based.
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2
-from .errors import BudgetExceededError, check_unit_interval
+from .errors import BudgetExceededError, check_integer, check_unit_interval
 from .kernels import Kernel, reference_generator
 
 _MAX_PROFILE_SIZE = 20
@@ -216,9 +215,7 @@ def evolve_spectrum(k: Kernel, eps0: float, depth: int) -> Spectrum:
     returns [eps0].
     """
     check_unit_interval(eps0, "design erasure rate")
-    depth = operator.index(depth)
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    depth = check_integer(depth, "depth")
     _check_spectrum_budget(k.l, depth)
     z = np.array([[eps0]])
     for z in _spectrum_levels(batch_profiles([k.row_bits()], k.l), eps0, depth):
@@ -261,7 +258,8 @@ def select_information_set(s: Spectrum, K: int) -> np.ndarray:
     Channels are ranked by erasure probability; ties break toward the smaller
     index.
     """
-    if not 0 <= K <= s.size:
+    K = check_integer(K, "K")
+    if K > s.size:
         raise ValueError(f"K must be in [0, {s.size}], got {K}")
     order = np.argsort(s.z, kind="stable")
     return np.sort(order[:K])
@@ -307,7 +305,7 @@ def exhaustive_split_oracle(k: Kernel, depth: int, eps: float, i: int) -> float:
     machinery above; used as its ground truth. N = l^depth must not exceed 8.
     """
     check_unit_interval(eps, "erasure rate")
-    n_block = k.l**depth
+    n_block = k.l ** check_integer(depth, "depth")
     if n_block > _MAX_ORACLE_BLOCK:
         raise BudgetExceededError(
             f"oracle over 3^{n_block} outputs exceeds the block limit of "

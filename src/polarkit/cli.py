@@ -18,7 +18,8 @@ from pathlib import Path
 
 from . import bec, survey as survey_mod
 from .codec import PolarCode
-from .errors import _SEED_LIMIT, BudgetExceededError, check_key_word, check_unit_interval
+from .errors import _SEED_LIMIT, BudgetExceededError, check_integer, check_key_word
+from .errors import check_unit_interval
 # enumerate_kernels is unused here but stays importable: bench/tracing.py
 # hooks `polarkit.cli.enumerate_kernels`.
 from .kernels import (  # noqa: F401
@@ -113,8 +114,7 @@ def parse_args(argv) -> argparse.Namespace:
 def _cmd_analyze(ns) -> int:
     kernel = parse_kernel(ns.kernel)
     check_unit_interval(ns.eps, "--eps")
-    if ns.depth < 0:
-        raise ValueError("--depth must be >= 0")
+    check_integer(ns.depth, "--depth")
     spectrum = bec.evolve_spectrum(kernel, ns.eps, ns.depth)
     # eps0^2 normalises d_p; it is undefined where that square is 0 and
     # imprecise where it is subnormal.
@@ -131,8 +131,7 @@ def _cmd_analyze(ns) -> int:
 
 
 def _cmd_survey(ns) -> int:
-    if ns.size < 2:
-        raise ValueError("--size must be >= 2")
+    check_integer(ns.size, "--size", 2)
     # A survey normalises by eps^2, so an eps whose square underflows to 0
     # has no distance curves, and one whose square is subnormal has
     # imprecise ones.
@@ -141,8 +140,7 @@ def _cmd_survey(ns) -> int:
             f"--eps must be in (0, 1] and square to a normal float, got {ns.eps}"
         )
     depth = ns.depth if ns.depth is not None else (7 if ns.size == 3 else 5)
-    if depth < 1:
-        raise ValueError("--depth must be >= 1")
+    check_integer(depth, "--depth", 1)
     records = survey_mod.survey_family(ns.size, ns.family, ns.eps, depth)
     if ns.out:
         survey_mod.export_survey(records, _out_path(ns.out))
@@ -162,8 +160,7 @@ def _cmd_exponent(ns) -> int:
         kernels = [parse_kernel(text) for text in ns.kernel]
         batches = [([k.descriptor()], [k.row_bits()], k.l) for k in kernels]
     elif ns.size is not None:
-        if ns.size < 2:
-            raise ValueError("--size must be >= 2")
+        check_integer(ns.size, "--size", 2)
         rows = family_rows(ns.size, ns.family)
         batches = [(row_descriptors(rows), rows, ns.size)]
     else:
@@ -186,14 +183,13 @@ def _cmd_exponent(ns) -> int:
 def _cmd_bound(ns) -> int:
     kernel = parse_kernel(ns.kernel)
     check_unit_interval(ns.eps, "--eps")
-    if ns.depth < 0:
-        raise ValueError("--depth must be >= 0")
+    check_integer(ns.depth, "--depth")
     try:
         rates = [float(r) for r in ns.rates.split(",") if r]
     except ValueError as exc:
         raise ValueError(f"bad --rates: {exc}") from None
     if not rates:
-        raise ValueError("--rates values must be in [0, 1]")
+        raise ValueError("--rates must list at least one rate")
     for rate in rates:
         check_unit_interval(rate, "--rates values")
     spectrum = bec.evolve_spectrum(kernel, ns.eps, ns.depth)
@@ -226,8 +222,7 @@ def _construct_code(ns, design_eps: float, eps_label: str) -> PolarCode:
     kernel = parse_kernel(ns.kernel)
     if not kernel.invertible:
         raise ValueError("codes require an invertible kernel")
-    if ns.depth < 0:
-        raise ValueError("--depth must be >= 0")
+    check_integer(ns.depth, "--depth")
     check_unit_interval(design_eps, eps_label)
     # Checked before l**depth is formed, which would not finish for a huge
     # depth.

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -64,7 +63,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf2
-from .errors import BudgetExceededError, DecodingIntegrityError, check_unit_interval
+from .errors import BudgetExceededError, DecodingIntegrityError
+from .errors import check_integer, check_unit_interval
 from .bec import _check_spectrum_budget, evolve_spectrum, select_information_set
 from .kernels import Kernel, digit_reversal_permutation
 
@@ -122,9 +122,7 @@ class PolarCode:
     def __post_init__(self):
         if not self.kernel.invertible:
             raise ValueError("polar codes require an invertible kernel")
-        object.__setattr__(self, "depth", operator.index(self.depth))
-        if self.depth < 0:
-            raise ValueError("depth must be >= 0")
+        object.__setattr__(self, "depth", check_integer(self.depth, "depth"))
         _check_spectrum_budget(self.kernel.l, self.depth)
         check_unit_interval(self.design_eps, "design erasure rate")
         n = self.kernel.l**self.depth
@@ -206,9 +204,6 @@ class PolarCode:
             raise ValueError(
                 f"unsupported index_base {d['index_base']!r}: indices are 0-based"
             )
-        depth = d["depth"]
-        if not isinstance(depth, int) or isinstance(depth, bool):
-            raise TypeError(f"code depth must be an integer, got {depth!r}")
         kernel = Kernel.from_json_dict(d["kernel"])
         texts = d["frozen_mask"], d["frozen_values"]
         if not all(isinstance(t, str) for t in texts):
@@ -220,7 +215,7 @@ class PolarCode:
         )
         return cls(
             kernel=kernel,
-            depth=depth,
+            depth=d["depth"],
             frozen_mask=mask,
             frozen_values=vals,
             design_eps=float(d["design_eps"]),
@@ -831,7 +826,7 @@ def genie_erasure_flags(kernel: Kernel, depth: int, erased: np.ndarray) -> np.nd
     over the information set equals the decoded frame-error indicator.
     """
     erased = np.asarray(erased, dtype=bool)
-    n = kernel.l**depth
+    n = kernel.l ** check_integer(depth, "depth")
     if erased.ndim != 2 or erased.shape[1] != n:
         raise ValueError(f"expected shape (B, {n}), got {erased.shape}")
     batch = erased.shape[0]

@@ -1,4 +1,7 @@
-"""Exception types, and the input refusals that the package shares."""
+"""Exception types, and the one check of each input rule: integers (sizes,
+depths, K, trial counts), Philox key words and rates. Where an integer is
+due, a bool or a non-integer raises TypeError and a numpy integer comes back
+as an int; a value out of range raises ValueError, naming the argument."""
 
 import operator
 
@@ -29,13 +32,29 @@ def check_unit_interval(value: float, what: str) -> None:
         raise ValueError(f"{what} must be in [0, 1], got {value}")
 
 
-def check_key_word(value, what: str) -> int:
-    """`value` as a Philox key word; a non-integer (a float too) raises
-    TypeError, an integer outside [0, 2**64) ValueError."""
+def _as_int(value, what: str) -> int:
+    """`value` as an int; a bool or a non-integer (a float too) is refused."""
     try:
-        word = operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise TypeError(f"{what} must be an integer, got {value!r}") from None
+        pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
+def check_integer(value, what: str, minimum: int = 0) -> int:
+    """`value` as an int of at least `minimum`; a bool or a non-integer
+    raises TypeError, a smaller integer ValueError."""
+    number = _as_int(value, what)
+    if number < minimum:
+        raise ValueError(f"{what} must be >= {minimum}, got {number}")
+    return number
+
+
+def check_key_word(value, what: str) -> int:
+    """`value` as a Philox key word; a bool or a non-integer raises
+    TypeError, an integer outside [0, 2**64) ValueError."""
+    word = _as_int(value, what)
     if not 0 <= word < _SEED_LIMIT:
         raise ValueError(f"{what} must be in [0, 2**64), got {word}")
     return word

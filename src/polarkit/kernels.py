@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import gf2
-from .errors import BudgetExceededError, KernelFormatError
+from .errors import BudgetExceededError, KernelFormatError, check_integer
 
 #: largest kernel whose partial distances are computed: the span of its later
 #: rows has up to 2^(l-1) members
@@ -211,8 +211,7 @@ def family_rows(l: int, family: str = "all") -> np.ndarray:
     ones included. Families above 2^_MAX_FAMILY_BITS members raise
     BudgetExceededError before anything is allocated.
     """
-    if l < 2:
-        raise ValueError("kernel size must be at least 2")
+    l = check_integer(l, "kernel size", 2)
     if family == "all":
         nbits = l * l
     elif family == "lower_triangular_unit_diagonal":
@@ -260,9 +259,7 @@ def kronecker_generator(k: Kernel, n: int) -> np.ndarray:
     Reference oracle only: raises BudgetExceededError when l^n exceeds
     `_MAX_GENERATOR_SIZE`.
     """
-    if n < 0:
-        raise ValueError("recursion depth must be >= 0")
-    size = k.l**n
+    size = k.l ** check_integer(n, "depth")
     if size > _MAX_GENERATOR_SIZE:
         raise BudgetExceededError(
             f"Kronecker power of size {size} exceeds the budget of "
@@ -280,8 +277,7 @@ def digit_reversal_permutation(l: int, n: int) -> np.ndarray:
     This is the row permutation that turns the plain Kronecker power into the
     generator actually applied by the recursive kernel-then-shuffle encoder.
     """
-    if l < 2 or n < 0:
-        raise ValueError("need l >= 2 and n >= 0")
+    l, n = check_integer(l, "kernel size", 2), check_integer(n, "depth")
     size = l**n
     # Axis j of the reshaped range holds digit j; reversing the axes reverses
     # the digits.

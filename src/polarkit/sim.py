@@ -61,7 +61,6 @@ The tallies are exactly those of decoding every trial individually
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from dataclasses import dataclass
 
@@ -76,7 +75,7 @@ from .codec import (
     decode_batch,
 )
 from . import gf2
-from .errors import _SEED_LIMIT, check_key_word, check_unit_interval
+from .errors import _SEED_LIMIT, check_integer, check_key_word, check_unit_interval
 
 _CHANNEL_TAG = 1 << 62
 
@@ -115,15 +114,9 @@ class StopRule:
 
     def __post_init__(self):
         for name in ("min_frame_errors", "max_trials"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
-        if not 1 <= self.max_trials <= _SEED_LIMIT:
-            raise ValueError("max_trials must be in [1, 2**64]: trial ids are 64-bit")
-        if self.min_frame_errors < 1:
-            raise ValueError("min_frame_errors must be >= 1")
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, 1))
+        if self.max_trials > _SEED_LIMIT:
+            raise ValueError("max_trials must be <= 2**64: trial ids are 64-bit")
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import gf2
 from .bec import _check_spectrum_budget, _normalisable, one_step_profile
+from .errors import check_integer
 from .ioutil import atomic_write_text
 from .kernels import Kernel, family_rows, row_descriptors
 
@@ -141,21 +142,21 @@ def invertible_summary(records: Sequence[GroupRecord]) -> FamilySummary:
     )
 
 
-def _check_curve_args(eps0: float, depth: int, min_depth: int) -> None:
+def _check_curve_args(eps0: float, depth: int, min_depth: int) -> int:
     """Refuse a design rate outside (0, 1], NaN included, one whose square
-    (the curves' normalisation) is not a normal float, or a short depth."""
+    (the curves' normalisation) is not a normal float, or a depth that is
+    not an integer of at least `min_depth`; returns the depth as an int."""
     if not 0.0 < eps0 <= 1.0 or not _normalisable(eps0):
         raise ValueError(
             f"design erasure rate {eps0} not in (0, 1] or squares to 0 or to a "
             "subnormal float"
         )
-    if depth < min_depth:
-        raise ValueError(f"depth must be >= {min_depth}, got {depth}")
+    return check_integer(depth, "depth", min_depth)
 
 
 def signature(k: Kernel, eps0: float, depth: int) -> Signature:
     """Signature of one kernel: a batch of one of the survey's curves."""
-    _check_curve_args(eps0, depth, 0)
+    depth = _check_curve_args(eps0, depth, 0)
     _check_spectrum_budget(k.l, depth, _MAX_SPECTRUM)
     profile = one_step_profile(k)
     curve = _batch_curves(np.array([profile.counts]), eps0, depth)[0]
@@ -224,7 +225,7 @@ def group_survey(family: Iterable[Kernel], eps0: float, depth: int) -> list[Grou
     final depth sits below its depth-1 value by more than 1e-9. `eps0` must
     lie in (0, 1] and `depth` be at least 1.
     """
-    _check_curve_args(eps0, depth, 1)
+    depth = _check_curve_args(eps0, depth, 1)
     kernels = list(family)
     if not kernels:
         raise ValueError("kernel family is empty")
@@ -237,7 +238,7 @@ def group_survey(family: Iterable[Kernel], eps0: float, depth: int) -> list[Grou
 def survey_family(l: int, family: str, eps0: float, depth: int) -> list[GroupRecord]:
     """`group_survey` over a whole `family_rows` family, without building a
     Kernel per member."""
-    _check_curve_args(eps0, depth, 1)
+    depth = _check_curve_args(eps0, depth, 1)
     return _group_rows(family_rows(l, family), l, eps0, depth)
 
 

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import polarkit
 from polarkit import BudgetExceededError
 from polarkit.cli import main, parse_args
 
@@ -428,19 +433,40 @@ _CONSTRUCT = ["construct", "--kernel", "10,11", "--out", "refused.json"]
         (_CONSTRUCT + ["--depth", "3", "--rate", "1.5"], "--rate must be in [0, 1]"),
         (_CONSTRUCT + ["--depth", "3"], "provide --rate or --k"),
         (_CONSTRUCT + ["--depth", "-1", "--rate", "0.5"], "--depth must be >= 0"),
+        (["bound", "--kernel", "10,11", "--depth", "3", "--rates", ","],
+         "--rates must list at least one rate"),
     ],
     ids=["simulate_eps_malformed", "simulate_eps_empty",
          "simulate_min_frame_errors_0", "simulate_max_trials_above_2_64",
          "survey_depth_0", "exponent_no_kernel",
          "bound_rates_malformed", "analyze_depth_negative", "survey_size_1",
          "bound_rate_above_1", "construct_rate_above_1",
-         "construct_without_rate_or_k", "construct_depth_negative"],
+         "construct_without_rate_or_k", "construct_depth_negative",
+         "bound_rates_empty"],
 )
 def test_bad_option_value_exits_2(capsys, argv, message):
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("module", ["polarkit", "polarkit.cli"])
+def test_module_entry_points_exit_with_the_command_status(module):
+    # `python -m polarkit` runs __main__.py, `python -m polarkit.cli` the
+    # module's own __main__ guard.
+    env = dict(os.environ, PYTHONPATH=str(Path(polarkit.__file__).parents[1]))
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    good = python_m("oracle-check", "--kernel", "10,11")
+    assert good.returncode == 0 and good.stderr == ""
+    assert good.stdout.startswith("oracle-check kernel=10,11 ok")
+    refused = python_m("analyze", "--kernel", "10,11", "--depth", "-1")
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert refused.stderr == "error: --depth must be >= 0, got -1\n"
 
 
 def test_construct_k_sets_the_information_size_over_rate(tmp_path):

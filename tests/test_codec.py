@@ -991,3 +991,23 @@ def test_code_depth_must_be_an_integer():
     )
     assert type(code.depth) is int and type(code.N) is int
     assert code.code_id() == "10,11|depth=2|K=2|design_eps=0.5"
+
+
+def _genie(code, erased):
+    return genie_erasure_flags(code.kernel, code.depth, erased)
+
+
+@pytest.mark.parametrize(
+    "decode, shape",
+    [(decode_batch, (4,)), (decode_batch, (2, 3)), (sc_decode, (1, 4)),
+     (sc_decode, (5,)), (map_oracle_decode, (1, 4)), (map_oracle_decode, (3,)),
+     (_genie, (4,)), (_genie, (2, 8))],
+    ids=["decode_batch-1d", "decode_batch-N3", "sc_decode-2d", "sc_decode-N5",
+         "map_oracle_decode-2d", "map_oracle_decode-N3", "genie-1d", "genie-N8"],
+)
+def test_decoders_refuse_input_of_the_wrong_shape(decode, shape):
+    code = uncoded(G2, 2)  # N = 4
+    with pytest.raises(
+        ValueError, match=r"^expected (shape \(B, 4\)|4 received symbols), got "
+    ):
+        decode(code, np.zeros(shape, np.uint8))

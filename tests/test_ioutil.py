@@ -33,3 +33,15 @@ def test_atomic_write_text_writes_empty_text(tmp_path):
     target.write_text("old contents")
     atomic_write_text(target, "")
     assert target.read_bytes() == b""
+
+
+def test_atomic_write_text_cleans_up_after_a_failed_write(tmp_path, monkeypatch):
+    # A lone surrogate has no encoding, so the write fails after the first
+    # slices have gone to the temporary file.
+    monkeypatch.setattr(ioutil, "_WRITE_SLICE", 4)
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old contents")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(target, "new contents\ud800")
+    assert target.read_bytes() == b"old contents"
+    assert os.listdir(tmp_path) == ["out.csv"]  # no temporary file left

@@ -400,7 +400,7 @@ def test_transmit_refuses_trial_ids_beyond_64_bits():
         bec_transmit([1, 0, 1, 1], BecChannel(0.3, 1, 2**64))
 
 
-@pytest.mark.parametrize("trial", [1.5, "3", None])
+@pytest.mark.parametrize("trial", [1.5, "3", None, True])
 def test_transmit_refuses_trial_ids_that_are_not_integers(trial):
     with pytest.raises(TypeError, match="trial index must be an integer"):
         BecChannel(0.3, 1, trial)
@@ -456,7 +456,8 @@ def test_long_g3_report_is_pinned():
 
 
 @pytest.mark.parametrize(
-    "errors, trials", [(2, 5000.0), (1.5, 5000), ("3", 10), (None, 10)]
+    "errors, trials",
+    [(2, 5000.0), (1.5, 5000), ("3", 10), (None, 10), (True, 10)],
 )
 def test_stop_rule_refuses_values_that_are_not_integers(errors, trials):
     with pytest.raises(TypeError, match="must be an integer"):
@@ -515,7 +516,7 @@ def test_reports_do_not_depend_on_chunking(data):
         assert got == _run_direct(code, eps, stop, master_seed=29)
 
 
-@pytest.mark.parametrize("seed", [0.9, 1.5])
+@pytest.mark.parametrize("seed", [0.9, 1.5, True])
 def test_seeds_that_are_not_integers_are_refused(seed):
     # A float is never truncated to a key word: 0.9 would run seed 0.
     code = PolarCode.construct(G2, 3, 4, 0.5)
