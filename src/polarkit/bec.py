@@ -26,12 +26,10 @@ import numpy as np
 
 from . import gf2
 from .errors import BudgetExceededError, check_integer, check_unit_interval
-from .kernels import Kernel, reference_generator
+from .kernels import Kernel, check_size_budget, reference_generator
 
 _MAX_PROFILE_SIZE = 20
 _MAX_ORACLE_BLOCK = 8
-#: largest spectrum (and code length) l^depth accepted
-_MAX_SPECTRUM_SIZE = 1 << 24
 #: (kernel, erasure pattern) lanes per block of the count-table elimination
 _BLOCK_LANES = 1 << 15
 #: channel values per block of the distance-curve evolution (at least one
@@ -194,20 +192,6 @@ def batch_curves(counts: np.ndarray, eps0: float, depth: int) -> np.ndarray:
     return curves
 
 
-def _check_spectrum_budget(
-    l: int, depth: int, max_size: int = _MAX_SPECTRUM_SIZE
-) -> None:
-    """Refuse l^depth > max_size without forming l^depth for a huge depth.
-
-    For l >= 2, l^depth >= 2^depth, so any depth above max_size's bit length
-    exceeds the budget whatever l is.
-    """
-    if l ** min(depth, max_size.bit_length()) > max_size:
-        raise BudgetExceededError(
-            f"size {l}^{depth} exceeds the spectrum budget of {max_size}"
-        )
-
-
 def evolve_spectrum(k: Kernel, eps0: float, depth: int) -> Spectrum:
     """Erasure spectrum after `depth` recursive kernel applications.
 
@@ -216,7 +200,7 @@ def evolve_spectrum(k: Kernel, eps0: float, depth: int) -> Spectrum:
     """
     check_unit_interval(eps0, "design erasure rate")
     depth = check_integer(depth, "depth")
-    _check_spectrum_budget(k.l, depth)
+    check_size_budget(k.l, depth)
     z = np.array([[eps0]])
     for z in _spectrum_levels(batch_profiles([k.row_bits()], k.l), eps0, depth):
         pass
@@ -305,12 +289,8 @@ def exhaustive_split_oracle(k: Kernel, depth: int, eps: float, i: int) -> float:
     machinery above; used as its ground truth. N = l^depth must not exceed 8.
     """
     check_unit_interval(eps, "erasure rate")
-    n_block = k.l ** check_integer(depth, "depth")
-    if n_block > _MAX_ORACLE_BLOCK:
-        raise BudgetExceededError(
-            f"oracle over 3^{n_block} outputs exceeds the block limit of "
-            f"{_MAX_ORACLE_BLOCK}"
-        )
+    depth = check_integer(depth, "depth")
+    n_block = check_size_budget(k.l, depth, _MAX_ORACLE_BLOCK, "oracle block")
     if not 0 <= i < n_block:
         raise ValueError(f"channel index {i} out of range for N={n_block}")
     gen = reference_generator(k, depth)

@@ -25,6 +25,7 @@ from .errors import check_unit_interval
 from .kernels import (  # noqa: F401
     batch_distances,
     batch_exponents,
+    check_size_budget,
     enumerate_kernels,
     family_rows,
     parse_kernel,
@@ -224,10 +225,7 @@ def _construct_code(ns, design_eps: float, eps_label: str) -> PolarCode:
         raise ValueError("codes require an invertible kernel")
     check_integer(ns.depth, "--depth")
     check_unit_interval(design_eps, eps_label)
-    # Checked before l**depth is formed, which would not finish for a huge
-    # depth.
-    bec._check_spectrum_budget(kernel.l, ns.depth)
-    n = kernel.l**ns.depth
+    n = check_size_budget(kernel.l, ns.depth)
     return PolarCode.construct(kernel, ns.depth, _resolve_k(ns, n), design_eps)
 
 
@@ -273,8 +271,8 @@ def _cmd_simulate(ns) -> int:
         raise ValueError("--eps must list at least one channel rate")
     for e in eps_list:
         check_unit_interval(e, "--eps")
-    if ns.min_frame_errors < 1 or ns.max_trials < 1:
-        raise ValueError("--min-frame-errors and --max-trials must be >= 1")
+    check_integer(ns.min_frame_errors, "--min-frame-errors", 1)
+    check_integer(ns.max_trials, "--max-trials", 1)
     if ns.max_trials > _SEED_LIMIT:
         raise ValueError("--max-trials must be <= 2**64: trial ids are 64-bit")
     stop = StopRule(min_frame_errors=ns.min_frame_errors, max_trials=ns.max_trials)

@@ -65,8 +65,8 @@ import numpy as np
 from . import gf2
 from .errors import BudgetExceededError, DecodingIntegrityError
 from .errors import check_integer, check_unit_interval
-from .bec import _check_spectrum_budget, evolve_spectrum, select_information_set
-from .kernels import Kernel, digit_reversal_permutation
+from .bec import evolve_spectrum, select_information_set
+from .kernels import Kernel, check_size_budget, digit_reversal_permutation
 
 
 class Symbol(IntEnum):
@@ -123,9 +123,8 @@ class PolarCode:
         if not self.kernel.invertible:
             raise ValueError("polar codes require an invertible kernel")
         object.__setattr__(self, "depth", check_integer(self.depth, "depth"))
-        _check_spectrum_budget(self.kernel.l, self.depth)
+        n = check_size_budget(self.kernel.l, self.depth)
         check_unit_interval(self.design_eps, "design erasure rate")
-        n = self.kernel.l**self.depth
         mask = gf2.as_bits(self.frozen_mask, 1)
         vals = gf2.as_bits(self.frozen_values, 1)
         if mask.shape[0] != n or vals.shape[0] != n:

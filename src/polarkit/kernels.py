@@ -31,6 +31,8 @@ _MAX_FAMILY_BITS = 16
 
 #: largest Kronecker power l^n the reference generators form
 _MAX_GENERATOR_SIZE = 4096
+#: largest spectrum, code length and digit-reversal permutation l^n accepted
+_MAX_SPECTRUM_SIZE = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,18 +255,30 @@ def enumerate_kernels(l: int, family: str = "all") -> Iterator[Kernel]:
     return (Kernel.from_row_bits(r) for r in family_rows(l, family))
 
 
+def check_size_budget(
+    l: int, depth: int, max_size: int = _MAX_SPECTRUM_SIZE, what: str = "spectrum"
+) -> int:
+    """l^depth, refused with BudgetExceededError above max_size, for an l of
+    at least 2 and a depth already checked to be a non-negative int.
+
+    l^depth is never formed for a huge depth: l^depth >= 2^depth, so any
+    depth above max_size's bit length exceeds the budget whatever l is.
+    """
+    if l ** min(depth, max_size.bit_length()) > max_size:
+        raise BudgetExceededError(
+            f"size {l}^{depth} exceeds the {what} budget of {max_size}"
+        )
+    return l**depth
+
+
 def kronecker_generator(k: Kernel, n: int) -> np.ndarray:
     """The l^n x l^n matrix k^(x n) over GF(2); n = 0 gives the 1x1 identity.
 
     Reference oracle only: raises BudgetExceededError when l^n exceeds
     `_MAX_GENERATOR_SIZE`.
     """
-    size = k.l ** check_integer(n, "depth")
-    if size > _MAX_GENERATOR_SIZE:
-        raise BudgetExceededError(
-            f"Kronecker power of size {size} exceeds the budget of "
-            f"{_MAX_GENERATOR_SIZE}"
-        )
+    n = check_integer(n, "depth")
+    check_size_budget(k.l, n, _MAX_GENERATOR_SIZE, "Kronecker power")
     out = np.ones((1, 1), dtype=np.uint8)
     for _ in range(n):
         out = gf2.kron(out, k.matrix)
@@ -276,9 +290,11 @@ def digit_reversal_permutation(l: int, n: int) -> np.ndarray:
 
     This is the row permutation that turns the plain Kronecker power into the
     generator actually applied by the recursive kernel-then-shuffle encoder.
+    Raises BudgetExceededError when l^n exceeds `_MAX_SPECTRUM_SIZE`, the
+    longest code.
     """
     l, n = check_integer(l, "kernel size", 2), check_integer(n, "depth")
-    size = l**n
+    size = check_size_budget(l, n, _MAX_SPECTRUM_SIZE, "permutation")
     # Axis j of the reshaped range holds digit j; reversing the axes reverses
     # the digits.
     return np.arange(size, dtype=np.int64).reshape((l,) * n).transpose().reshape(size)

@@ -35,7 +35,11 @@ down to a multiple of 64)) trials, S being the symbol budget _BATCH_SYMBOLS
 1 MB), and at most S symbols once N > 2**18. The transpose runs the six
 delta-swap rounds of a 64x64 bit transpose over every tile of the chunk at
 once, with the tiles stored row-slab major so that each round works on
-contiguous runs.
+contiguous runs, frees the rounds' scratch, and copies the tiles into the
+plane layout. A run keeps one plane buffer: the screen consumes (and
+overwrites) a chunk's planes, so the next chunk's transpose copies into the
+same buffer, a shorter last chunk into its first part, and no plane array is
+allocated after the first chunk until a flush frees the buffer.
 
 Most trials decode without any ambiguity, and over the BEC the frame-error
 event depends only on the erasure pattern: the first ambiguous information
@@ -51,9 +55,9 @@ and the stop: a chunk ends early at its flagged trial that spends the error
 budget, then decides once whether the run stops. Flagged trials wait, with
 their known rows, until one decode batch (at most _DECODE_FRAMES frames and
 _BATCH_SYMBOLS symbols) is pending or the run stops. That flush frees the
-spent chunk (its rows, planes and frame-error plane), then decodes them in
-such batches. Fewer than one batch waits between chunks, so at any N a
-flush holds at most one batch more than its chunk's own flagged rows.
+spent chunk (its rows, plane buffer and frame-error plane), then decodes
+them in such batches. Fewer than one batch waits between chunks, so at any N
+a flush holds at most one batch more than its chunk's own flagged rows.
 The tallies are exactly those of decoding every trial individually
 (verified in tests against the literal per-trial loop).
 """
@@ -181,17 +185,24 @@ _TRANSPOSE_MASKS = [
 ]
 
 
-def _bit_transpose(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
+def _bit_transpose(
+    words: np.ndarray, rows: int, cols: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Transpose a bit matrix packed row-major into uint64 words (LSB first).
 
     rows and cols must both be multiples of 64; returns the packed transpose
-    of shape (cols, rows // 64).
+    of shape (cols, rows // 64). It is written into `out` when given: a
+    C-contiguous uint64 array of at least cols * rows // 64 words, of which
+    it fills (and returns a view of) the first that many, so a buffer sized
+    for one chunk serves every shorter chunk after it.
 
     Each 64x64 tile is transposed by six delta-swap rounds (Warren, Hacker's
     Delight, 7-3): round s swaps the s-bit blocks above the diagonal of every
     2s x 2s block with those below it. The tiles are laid out row-slab
     major, slab i holding row i of every tile, so the two halves of a round
     are contiguous runs of s whole slabs instead of strided single words.
+    The rounds' scratch is freed before the final strided copy into the
+    (cols, tiles) layout, so that copy adds only its destination.
     """
     tiles, w = rows // 64, cols // 64
     # copy(): the rounds below must never alias the caller's words
@@ -211,7 +222,12 @@ def _bit_transpose(words: np.ndarray, rows: int, cols: int) -> np.ndarray:
         a ^= t
         t >>= sh
         b ^= t
-    return x.transpose(2, 0, 1).reshape(cols, tiles)
+    del tmp, t
+    if out is None:
+        out = np.empty(cols * tiles, dtype=np.uint64)
+    planes = out.reshape(-1)[: cols * tiles].reshape(cols, tiles)
+    planes.reshape(w, 64, tiles)[...] = x.transpose(2, 0, 1)
+    return planes
 
 
 #: symbols sampled per sub-block of _known_rows; bounds its temporaries (a
@@ -420,13 +436,18 @@ def run_monte_carlo(
     # Flagged trials and their known rows, not yet decoded.
     pending_ids: list[np.ndarray] = []
     pending_rows: list[np.ndarray] = []
+    # The last chunk's planes: the screen has consumed them, so the next
+    # transpose overwrites them (chunks never grow) instead of allocating.
+    planes = None
     done = False  # StopRule asks for at least one trial
     while not done:
         chunk = min(size, stop.max_trials - trials)
         padded = -(-chunk // 64) * 64
         rows = _known_rows(master_seed, eps, n, trials, padded)
-        known = _bit_transpose(rows, padded, 64 * n64)[:n].view(np.uint8)
-        frame_plane = _screen_known_planes(code.kernel, plan, known)
+        planes = _bit_transpose(rows, padded, 64 * n64, out=planes)
+        frame_plane = _screen_known_planes(
+            code.kernel, plan, planes[:n].view(np.uint8)
+        )
         frames = np.unpackbits(frame_plane, count=chunk, bitorder="little")
         # The screen alone decides frame errors. Keep the flagged trials up to
         # the error budget; if they reach it, the run ends at the last one.
@@ -442,7 +463,8 @@ def run_monte_carlo(
         done = trials >= stop.max_trials or frame_errors >= stop.min_frame_errors
         if pending and (pending >= step or done):
             # The spent chunk is not read again; free it before decoding.
-            del rows, known, frame_plane
+            del rows, frame_plane
+            planes = None
             ids, held = np.concatenate(pending_ids), np.concatenate(pending_rows)
             pending_ids.clear()
             pending_rows.clear()

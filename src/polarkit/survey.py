@@ -26,10 +26,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gf2
-from .bec import _check_spectrum_budget, _normalisable, one_step_profile
+from .bec import _normalisable, one_step_profile
 from .errors import check_integer
 from .ioutil import atomic_write_text
-from .kernels import Kernel, family_rows, row_descriptors
+from .kernels import Kernel, check_size_budget, family_rows, row_descriptors
 
 # bench/tracing.py times the survey stages through these module names, and
 # hooks bernstein_eval here as well as in bec.
@@ -157,7 +157,7 @@ def _check_curve_args(eps0: float, depth: int, min_depth: int) -> int:
 def signature(k: Kernel, eps0: float, depth: int) -> Signature:
     """Signature of one kernel: a batch of one of the survey's curves."""
     depth = _check_curve_args(eps0, depth, 0)
-    _check_spectrum_budget(k.l, depth, _MAX_SPECTRUM)
+    check_size_budget(k.l, depth, _MAX_SPECTRUM)
     profile = one_step_profile(k)
     curve = _batch_curves(np.array([profile.counts]), eps0, depth)[0]
     return Signature(
@@ -255,7 +255,7 @@ def _group_rows(rows: np.ndarray, l: int, eps0: float, depth: int) -> list[Group
     same CURVE_TOL breaks as grouping every kernel would; a group's curve is
     that of its lowest-index member.
     """
-    _check_spectrum_budget(l, depth, _MAX_SPECTRUM)
+    check_size_budget(l, depth, _MAX_SPECTRUM)
     m_count = rows.shape[0]
     _, form_of = _unique_rows(_canonical_rows(rows, l))
     first = np.full(form_of.max() + 1, m_count)

@@ -419,7 +419,9 @@ _CONSTRUCT = ["construct", "--kernel", "10,11", "--out", "refused.json"]
         (_SIM_CODE + ["--eps", "0.5,x"], "bad --eps"),
         (_SIM_CODE + ["--eps", ","], "--eps must list at least one"),
         (_SIM_CODE + ["--eps", "0.5", "--min-frame-errors", "0"],
-         "--min-frame-errors and --max-trials must be >= 1"),
+         "--min-frame-errors must be >= 1, got 0"),
+        (_SIM_CODE + ["--eps", "0.5", "--max-trials", "0"],
+         "--max-trials must be >= 1, got 0"),
         (_SIM_CODE + ["--eps", "0.5", "--max-trials", str(2**64 + 1)],
          "--max-trials must be <= 2**64"),
         (["survey", "--size", "3", "--depth", "0"], "--depth must be >= 1"),
@@ -437,7 +439,8 @@ _CONSTRUCT = ["construct", "--kernel", "10,11", "--out", "refused.json"]
          "--rates must list at least one rate"),
     ],
     ids=["simulate_eps_malformed", "simulate_eps_empty",
-         "simulate_min_frame_errors_0", "simulate_max_trials_above_2_64",
+         "simulate_min_frame_errors_0", "simulate_max_trials_0",
+         "simulate_max_trials_above_2_64",
          "survey_depth_0", "exponent_no_kernel",
          "bound_rates_malformed", "analyze_depth_negative", "survey_size_1",
          "bound_rate_above_1", "construct_rate_above_1",

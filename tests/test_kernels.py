@@ -9,6 +9,7 @@ from polarkit import (
     KernelFormatError,
     digit_reversal_permutation,
     enumerate_kernels,
+    exhaustive_split_oracle,
     family_rows,
     kronecker_generator,
     parse_kernel,
@@ -17,9 +18,10 @@ from polarkit import (
     reference_generator,
 )
 from polarkit import gf2
-from polarkit.kernels import batch_distances, batch_exponents
+from polarkit.kernels import batch_distances, batch_exponents, check_size_budget
 
 G2 = parse_kernel("10,11")
+G3 = parse_kernel("100,110,011")
 
 # All eight lower-triangular 3x3 kernels in enumeration order G_000..G_111
 # with their known rate exponents.
@@ -191,6 +193,32 @@ def test_kronecker_generator_examples():
 def test_kronecker_budget():
     with pytest.raises(BudgetExceededError):
         kronecker_generator(G2, 20)
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda: kronecker_generator(G3, 10**6),
+        lambda: digit_reversal_permutation(3, 10**6),
+        lambda: exhaustive_split_oracle(G3, 10**6, 0.5, 0),
+    ],
+    ids=["kronecker_generator", "digit_reversal", "exhaustive_split_oracle"],
+)
+def test_huge_depths_are_refused_before_the_power(refuse):
+    # 3^(10^6) is never formed: it takes time, and printing it in the message
+    # would break int-to-str's digit limit (a plain ValueError).
+    with pytest.raises(BudgetExceededError, match=r"size 3\^1000000 exceeds"):
+        refuse()
+
+
+def test_size_budget_boundary():
+    assert check_size_budget(2, 24) == 1 << 24
+    assert check_size_budget(4096, 1, 4096) == 4096
+    assert check_size_budget(7, 0, 1) == 1
+    with pytest.raises(BudgetExceededError, match="spectrum budget of 16777216"):
+        check_size_budget(2, 25)
+    with pytest.raises(BudgetExceededError, match="permutation budget"):
+        digit_reversal_permutation(4, 13)
 
 
 @given(st.integers(0, 3), st.integers(0, 511))

@@ -83,6 +83,26 @@ def test_wilson_interval_basic():
     assert lo < 0.5 < hi
     lo, hi = wilson_interval(100, 100)
     assert 0.95 < lo < 1.0 and hi == 1.0
+    assert wilson_interval(0, 0) == (0.0, 1.0)  # no trials: no information
+
+
+@pytest.mark.parametrize("eps", [-0.1, 1.5, float("nan")])
+def test_monte_carlo_refuses_eps_outside_the_unit_interval(eps):
+    code = PolarCode.construct(G2, 3, 4, 0.5)
+    with pytest.raises(ValueError, match="erasure probability must be in"):
+        run_monte_carlo(code, eps, StopRule(5, 100), master_seed=1)
+
+
+def test_decoder_disagreeing_with_the_screen_is_an_error(monkeypatch):
+    # At eps 0 the decoder resolves every frame, so a screen that flags every
+    # trial of the chunk must trip the screen/decoder agreement check.
+    def flag_everything(kernel, plan, known):
+        return np.full(known.shape[1], 0xFF, dtype=np.uint8)
+
+    monkeypatch.setattr(sim, "_screen_known_planes", flag_everything)
+    code = PolarCode.construct(G2, 3, 4, 0.5)
+    with pytest.raises(AssertionError, match="screen flagged a frame the decoder"):
+        run_monte_carlo(code, 0.0, StopRule(5, 100), master_seed=1)
 
 
 @pytest.mark.parametrize("eps", [0.5, 0.3])
@@ -293,6 +313,52 @@ def test_bit_transpose_on_monte_carlo_shapes():
             assert words[r, c // 64] == np.uint64(1) << np.uint64(c % 64)
             assert np.count_nonzero(got) == 1
             assert got[c, r // 64] == np.uint64(1) << np.uint64(r % 64)
+
+
+@pytest.mark.parametrize("spare", [0, 1, 640], ids=["exact", "one_word", "next_chunk"])
+def test_bit_transpose_writes_into_a_given_buffer(spare):
+    # A buffer of at least cols * rows / 64 words takes the transpose in its
+    # first words, as the Monte Carlo loop's last, shorter chunk does.
+    from polarkit.sim import _bit_transpose
+
+    rows, cols = 128, 192
+    rng = np.random.default_rng(spare)
+    words = rng.integers(0, 2**64, (rows, cols // 64), dtype=np.uint64)
+    want = _bit_transpose(words, rows, cols)
+    out = np.full(cols * rows // 64 + spare, 7, dtype=np.uint64)
+    got = _bit_transpose(words, rows, cols, out=out)
+    assert np.array_equal(got, want) and got.shape == (cols, rows // 64)
+    assert np.shares_memory(got, out) and got.flags.c_contiguous
+    assert np.array_equal(got.reshape(-1), out[: got.size])
+    assert (out[got.size :] == 7).all()
+
+
+def test_monte_carlo_chunks_reuse_one_plane_buffer(monkeypatch):
+    # Chunks of 200, 200 and 100 trials, padded to 256, 256 and 128: every
+    # transpose after the first writes into the previous chunk's planes, the
+    # last one into their first half, and the report does not change.
+    code = PolarCode.construct(G2, 6, 32, 0.5)
+    stop = StopRule(501, 500)
+    want = run_monte_carlo(code, 0.45, stop, master_seed=3)
+    calls = []
+    transpose = sim._bit_transpose
+
+    def recording_transpose(words, rows, cols, out=None):
+        planes = transpose(words, rows, cols, out=out)
+        calls.append((rows, out, planes))
+        return planes
+
+    monkeypatch.setattr(sim, "_bit_transpose", recording_transpose)
+    monkeypatch.setattr(sim, "_CHUNK_TRIALS", 200)
+    got = run_monte_carlo(code, 0.45, stop, master_seed=3)
+    assert sim_csv_text([got]) == sim_csv_text([want])
+    assert got == _run_direct(code, 0.45, stop, master_seed=3)
+    assert [rows for rows, _, _ in calls] == [256, 256, 128]
+    first = calls[0][2]
+    assert calls[0][1] is None
+    for (_, _, before), (_, out, planes) in zip(calls, calls[1:]):
+        assert out is before and np.shares_memory(planes, first)
+    assert calls[-1][2].size == first.size // 2
 
 
 @pytest.mark.parametrize("decode_frames", [1, 16, 10**9])
