@@ -25,10 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .errors import BudgetExceededError, check_integer, check_unit_interval
+from .errors import check_integer, check_unit_interval
 from .kernels import Kernel, check_size_budget, reference_generator
 
-_MAX_PROFILE_SIZE = 20
+#: most erasure patterns a count table enumerates: 2^l, so kernels up to 20x20
+_MAX_ERASURE_PATTERNS = 1 << 20
+#: longest block N of the brute-force oracles (here and `codec.map_oracle_decode`)
 _MAX_ORACLE_BLOCK = 8
 #: (kernel, erasure pattern) lanes per block of the count-table elimination
 _BLOCK_LANES = 1 << 15
@@ -86,14 +88,11 @@ def batch_profiles(rows, l: int) -> np.ndarray:
     (kernel, erasure pattern) pair is one lane of `gf2.bottom_up_reduce`
     over the kernel's rows masked to the kept columns: input i is
     undetermined iff its row reduces to zero against the rows below it. The
-    lanes run in blocks of _BLOCK_LANES. Kernels above size
-    _MAX_PROFILE_SIZE raise BudgetExceededError before any work.
+    lanes run in blocks of _BLOCK_LANES. Kernels with more than
+    _MAX_ERASURE_PATTERNS patterns (l > 20) raise BudgetExceededError before
+    any work.
     """
-    if l > _MAX_PROFILE_SIZE:
-        raise BudgetExceededError(
-            f"profile enumeration over 2^{l} erasure patterns exceeds the "
-            f"supported kernel size of {_MAX_PROFILE_SIZE}"
-        )
+    check_size_budget(2, l, _MAX_ERASURE_PATTERNS, "erasure-pattern")
     rows = np.asarray(rows, dtype=np.uint32).reshape(-1, l)
     patterns = 1 << l
     width = min(patterns, _BLOCK_LANES)  # erasure patterns per block
@@ -187,9 +186,15 @@ def batch_curves(counts: np.ndarray, eps0: float, depth: int) -> np.ndarray:
     for m0 in range(0, counts.shape[0], step):
         block = slice(m0, m0 + step)
         for d, z in enumerate(_spectrum_levels(counts[block], eps0, depth)):
-            small = np.minimum(z, 1.0 - z)
-            curves[block, d] = (small * small).mean(axis=1) / (eps0 * eps0)
+            curves[block, d] = _distances(z, eps0)
     return curves
+
+
+def _distances(z: np.ndarray, eps0: float) -> np.ndarray:
+    """Polarisation distance of each spectrum on z's last axis:
+    mean(min(z, 1 - z)^2) / eps0^2."""
+    small = np.minimum(z, 1.0 - z)
+    return (small * small).mean(axis=-1) / (eps0 * eps0)
 
 
 def evolve_spectrum(k: Kernel, eps0: float, depth: int) -> Spectrum:
@@ -219,7 +224,7 @@ def _normalisable(eps0: float) -> bool:
 def polarisation_distance(s: Spectrum) -> float:
     """Normalised distance of a spectrum from complete polarisation.
 
-    d = (1 / (N * eps0^2)) * sum_i min(|z_i|, |1 - z_i|)^2.
+    d = (1 / (N * eps0^2)) * sum_i min(z_i, 1 - z_i)^2.
 
     1 means no polarisation at all, 0 means every channel is fully erased or
     fully clean. The normalisation keeps d <= 1 whenever eps0 >= 0.5; for
@@ -232,8 +237,7 @@ def polarisation_distance(s: Spectrum) -> float:
             "normalisation undefined: design erasure rate squares to 0 or to a "
             "subnormal float"
         )
-    m = np.minimum(np.abs(s.z), np.abs(1.0 - s.z))
-    return float((m * m).mean() / (s.design_eps * s.design_eps))
+    return float(_distances(s.z, s.design_eps))
 
 
 def select_information_set(s: Spectrum, K: int) -> np.ndarray:
@@ -242,9 +246,7 @@ def select_information_set(s: Spectrum, K: int) -> np.ndarray:
     Channels are ranked by erasure probability; ties break toward the smaller
     index.
     """
-    K = check_integer(K, "K")
-    if K > s.size:
-        raise ValueError(f"K must be in [0, {s.size}], got {K}")
+    K = check_integer(K, "K", maximum=s.size)
     order = np.argsort(s.z, kind="stable")
     return np.sort(order[:K])
 

@@ -112,6 +112,19 @@ def parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _rates(text: str, option: str) -> list[float]:
+    """A comma-separated list of at least one rate in [0, 1]."""
+    try:
+        rates = [float(r) for r in text.split(",") if r]
+    except ValueError as exc:
+        raise ValueError(f"bad {option}: {exc}") from None
+    if not rates:
+        raise ValueError(f"{option} must list at least one rate")
+    for rate in rates:
+        check_unit_interval(rate, option)
+    return rates
+
+
 def _cmd_analyze(ns) -> int:
     kernel = parse_kernel(ns.kernel)
     check_unit_interval(ns.eps, "--eps")
@@ -185,14 +198,7 @@ def _cmd_bound(ns) -> int:
     kernel = parse_kernel(ns.kernel)
     check_unit_interval(ns.eps, "--eps")
     check_integer(ns.depth, "--depth")
-    try:
-        rates = [float(r) for r in ns.rates.split(",") if r]
-    except ValueError as exc:
-        raise ValueError(f"bad --rates: {exc}") from None
-    if not rates:
-        raise ValueError("--rates must list at least one rate")
-    for rate in rates:
-        check_unit_interval(rate, "--rates values")
+    rates = _rates(ns.rates, "--rates")
     spectrum = bec.evolve_spectrum(kernel, ns.eps, ns.depth)
     rows = bec.bound_curve(spectrum, rates)
     shown = [f"R={rate:g}:{bound:.3g}" for rate, _, bound in rows]
@@ -207,22 +213,16 @@ def _cmd_bound(ns) -> int:
 
 def _resolve_k(ns, n: int) -> int:
     if ns.info_k is not None:
-        k_info = ns.info_k
-    elif ns.rate is not None:
+        return ns.info_k
+    if ns.rate is not None:
         check_unit_interval(ns.rate, "--rate")
-        k_info = round(ns.rate * n)
-    else:
-        raise ValueError("provide --rate or --k")
-    if not 0 <= k_info <= n:
-        raise ValueError(f"K must be in [0, {n}]")
-    return k_info
+        return round(ns.rate * n)
+    raise ValueError("provide --rate or --k")
 
 
 def _construct_code(ns, design_eps: float, eps_label: str) -> PolarCode:
     """The code of --kernel, --depth and --rate (or --k) at `design_eps`."""
     kernel = parse_kernel(ns.kernel)
-    if not kernel.invertible:
-        raise ValueError("codes require an invertible kernel")
     check_integer(ns.depth, "--depth")
     check_unit_interval(design_eps, eps_label)
     n = check_size_budget(kernel.l, ns.depth)
@@ -263,14 +263,7 @@ def _cmd_simulate(ns) -> int:
         code = _construct_code(ns, ns.design_eps, "--design-eps")
     else:
         raise ValueError("provide --code, or --kernel with --depth and --rate")
-    try:
-        eps_list = [float(e) for e in ns.eps.split(",") if e]
-    except ValueError as exc:
-        raise ValueError(f"bad --eps: {exc}") from None
-    if not eps_list:
-        raise ValueError("--eps must list at least one channel rate")
-    for e in eps_list:
-        check_unit_interval(e, "--eps")
+    eps_list = _rates(ns.eps, "--eps")
     check_integer(ns.min_frame_errors, "--min-frame-errors", 1)
     check_integer(ns.max_trials, "--max-trials", 1)
     if ns.max_trials > _SEED_LIMIT:

@@ -63,9 +63,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf2
-from .errors import BudgetExceededError, DecodingIntegrityError
-from .errors import check_integer, check_unit_interval
-from .bec import evolve_spectrum, select_information_set
+from .errors import DecodingIntegrityError, check_integer, check_unit_interval
+from .bec import _MAX_ORACLE_BLOCK, evolve_spectrum, select_information_set
 from .kernels import Kernel, check_size_budget, digit_reversal_permutation
 
 
@@ -105,6 +104,11 @@ def stride_permutation(N: int, l: int) -> np.ndarray:
     return np.arange(N).reshape(N // l, l).T.reshape(N)
 
 
+def _require_invertible(kernel: Kernel) -> None:
+    if not kernel.invertible:
+        raise ValueError("polar codes require an invertible kernel")
+
+
 @dataclass(frozen=True, eq=False)
 class PolarCode:
     """A polar code: kernel, recursion depth, frozen structure, design point.
@@ -120,8 +124,7 @@ class PolarCode:
     design_eps: float = 0.5
 
     def __post_init__(self):
-        if not self.kernel.invertible:
-            raise ValueError("polar codes require an invertible kernel")
+        _require_invertible(self.kernel)
         object.__setattr__(self, "depth", check_integer(self.depth, "depth"))
         n = check_size_budget(self.kernel.l, self.depth)
         check_unit_interval(self.design_eps, "design erasure rate")
@@ -157,7 +160,14 @@ class PolarCode:
         frozen_bits=None,
     ) -> "PolarCode":
         """Standard construction: freeze the complement of the K most
-        reliable channels of the depth-`depth` spectrum at `design_eps`."""
+        reliable channels of the depth-`depth` spectrum at `design_eps`.
+
+        A singular kernel, and a K outside [0, N], are refused before the
+        spectrum is evolved."""
+        _require_invertible(kernel)
+        depth = check_integer(depth, "depth")
+        n = check_size_budget(kernel.l, depth)
+        check_integer(K, "K", maximum=n)
         spectrum = evolve_spectrum(kernel, design_eps, depth)
         info = select_information_set(spectrum, K)
         mask = np.ones(spectrum.size, dtype=np.uint8)
@@ -289,14 +299,9 @@ def encode(code: PolarCode, u) -> np.ndarray:
 # --------------------------------------------------------------------------
 # one-round decision primitive
 
-
-def _check_table_size(l: int) -> None:
-    """Refuse a kernel whose decision tables would exceed 2^12 masks."""
-    if l > 12:
-        raise BudgetExceededError(
-            f"decoding tables enumerate 2^{l} observation masks; kernels above "
-            "size 12 are not supported"
-        )
+#: most observation masks a kernel's decision tables enumerate: 2^l, so
+#: kernels up to 12x12
+_MAX_TABLE_MASKS = 1 << 12
 
 
 @functools.lru_cache(maxsize=128)
@@ -316,7 +321,7 @@ def _round_tables(kernel: Kernel):
     The returned arrays are immutable and shared between concurrent decodes.
     """
     l = kernel.l
-    _check_table_size(l)
+    check_size_budget(2, l, _MAX_TABLE_MASKS, "decoding-table mask")
     m = kernel.matrix
     masks = np.arange(1 << l, dtype=np.uint16)
     rows = np.array(kernel.row_bits(), dtype=np.uint16)
@@ -416,7 +421,7 @@ def _node_plan(code: PolarCode) -> _NodePlan:
     l, n = code.kernel.l, code.N
     # Every plan is for decoding, so an undecodable kernel is refused here,
     # before the plan or any channel work.
-    _check_table_size(l)
+    check_size_budget(2, l, _MAX_TABLE_MASKS, "decoding-table mask")
     sizes = [n // l**k for k in range(code.depth + 1)]
     classes, rate0 = [], []
     encoded = np.zeros(n, dtype=np.uint8)
@@ -584,8 +589,6 @@ def sc_decode(code: PolarCode, y) -> DecodeResult:
 # --------------------------------------------------------------------------
 # brute-force sequential MAP oracle (tests only; N <= 8)
 
-_MAX_ORACLE_BLOCK = 8
-
 
 def _map_decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = code.N
@@ -623,10 +626,7 @@ def map_oracle_decode(code: PolarCode, y) -> DecodeResult:
     both values are equally likely (or both impossible). Matches sc_decode
     exactly and is restricted to N <= 8.
     """
-    if code.N > _MAX_ORACLE_BLOCK:
-        raise BudgetExceededError(
-            f"MAP oracle limited to N <= {_MAX_ORACLE_BLOCK}, got N={code.N}"
-        )
+    check_size_budget(code.kernel.l, code.depth, _MAX_ORACLE_BLOCK, "oracle block")
     y = np.asarray(y)
     if y.ndim != 1 or y.shape[0] != code.N:
         raise ValueError(f"expected {code.N} received symbols, got shape {y.shape}")

@@ -42,12 +42,17 @@ def _as_int(value, what: str) -> int:
     raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
-def check_integer(value, what: str, minimum: int = 0) -> int:
-    """`value` as an int of at least `minimum`; a bool or a non-integer
-    raises TypeError, a smaller integer ValueError."""
+def check_integer(
+    value, what: str, minimum: int = 0, maximum: int | None = None
+) -> int:
+    """`value` as an int of at least `minimum` (and at most `maximum`, when
+    given); a bool or a non-integer raises TypeError, an integer out of range
+    ValueError."""
     number = _as_int(value, what)
     if number < minimum:
         raise ValueError(f"{what} must be >= {minimum}, got {number}")
+    if maximum is not None and number > maximum:
+        raise ValueError(f"{what} must be in [{minimum}, {maximum}], got {number}")
     return number
 
 

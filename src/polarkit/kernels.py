@@ -19,15 +19,15 @@ import numpy as np
 from . import gf2
 from .errors import BudgetExceededError, KernelFormatError, check_integer
 
-#: largest kernel whose partial distances are computed: the span of its later
-#: rows has up to 2^(l-1) members
-_MAX_DISTANCE_SIZE = 20
+#: most span members the partial-distance search enumerates: the span of a
+#: kernel's later rows has 2^(l-1) members, so kernels up to 20x20
+_MAX_SPAN_MEMBERS = 1 << 19
 #: (kernel, span member) lanes per block of the partial-distance search
 _BLOCK_LANES = 1 << 16
 
-#: largest kernel family `family_rows` enumerates: 2^16 members admits every
-#: 4x4 matrix and every lower-triangular family up to 6x6
-_MAX_FAMILY_BITS = 16
+#: most members `family_rows` enumerates: every 4x4 matrix and every
+#: lower-triangular family up to 6x6
+_MAX_FAMILY_MEMBERS = 1 << 16
 
 #: largest Kronecker power l^n the reference generators form
 _MAX_GENERATOR_SIZE = 4096
@@ -66,14 +66,13 @@ class Kernel:
         rows = np.asarray(rows, dtype=np.uint32)
         return cls((rows[:, None] >> np.arange(rows.shape[0], dtype=np.uint32)) & 1)
 
-    def row_strings(self) -> tuple[str, ...]:
-        return tuple("".join(str(int(b)) for b in row) for row in self.matrix)
-
     def descriptor(self) -> str:
-        return ",".join(self.row_strings())
+        """The comma-separated rows, as `parse_kernel` reads them."""
+        # Python ints: a row of more than 64 bits fits no numpy integer.
+        return row_descriptors(np.array([self.row_bits()], dtype=object))[0]
 
     def to_json_dict(self) -> dict:
-        return {"l": self.l, "rows": list(self.row_strings())}
+        return {"l": self.l, "rows": self.descriptor().split(",")}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Kernel":
@@ -131,14 +130,10 @@ def batch_distances(rows, l: int) -> np.ndarray:
     its rows i+1..l-1; the span of the later rows grows bottom-up, doubling
     with each row. A zero marks a row in the span of the rows below it, i.e.
     a singular kernel. Kernels are processed in blocks of about _BLOCK_LANES
-    span members, and kernels above size _MAX_DISTANCE_SIZE raise
-    BudgetExceededError before any work.
+    span members, and kernels whose spans exceed _MAX_SPAN_MEMBERS (l > 20)
+    raise BudgetExceededError before any work.
     """
-    if l > _MAX_DISTANCE_SIZE:
-        raise BudgetExceededError(
-            f"partial distances of kernels above size {_MAX_DISTANCE_SIZE} "
-            "are not supported"
-        )
+    check_size_budget(2, l - 1, _MAX_SPAN_MEMBERS, "span-member")
     rows = np.asarray(rows, dtype=np.uint32).reshape(-1, l)
     dists = np.empty(rows.shape, dtype=np.int64)
     step = max(1, _BLOCK_LANES >> (l - 1))  # kernels per block
@@ -210,7 +205,7 @@ def family_rows(l: int, family: str = "all") -> np.ndarray:
     last free entry, so the all-zero filling comes first. The
     "lower_triangular_unit_diagonal" family fixes the diagonal to 1 and the
     strict upper triangle to 0; "all" ranges over every l*l matrix, singular
-    ones included. Families above 2^_MAX_FAMILY_BITS members raise
+    ones included. Families above _MAX_FAMILY_MEMBERS members raise
     BudgetExceededError before anything is allocated.
     """
     l = check_integer(l, "kernel size", 2)
@@ -220,11 +215,7 @@ def family_rows(l: int, family: str = "all") -> np.ndarray:
         nbits = l * (l - 1) // 2
     else:
         raise ValueError(f"unknown kernel family {family!r}")
-    if nbits > _MAX_FAMILY_BITS:
-        raise BudgetExceededError(
-            f"the {family} family of {l}x{l} kernels has 2^{nbits} members, "
-            f"above the budget of 2^{_MAX_FAMILY_BITS}"
-        )
+    check_size_budget(2, nbits, _MAX_FAMILY_MEMBERS, f"{l}x{l} {family} family")
     if family == "all":
         free = [(r, c) for r in range(l) for c in range(l)]
         base = np.zeros(l, dtype=np.uint32)
@@ -239,13 +230,14 @@ def family_rows(l: int, family: str = "all") -> np.ndarray:
 
 
 def row_descriptors(rows: np.ndarray, sep: str = ",") -> list[str]:
-    """`Kernel.descriptor()` of every kernel in an (M, l) row-bit array, with
-    the rows joined by the one-character `sep` instead of a comma."""
+    """`Kernel.descriptor()` of every kernel in an (M, l) row-bit array of
+    any integer dtype (object too), with the rows joined by the one-character
+    `sep` instead of a comma."""
     m, l = rows.shape
     # Row r's text lists columns 0..l-1, i.e. bits 0..l-1 of its row bits.
-    digits = (rows[:, :, None] >> np.arange(l, dtype=rows.dtype)).astype(np.uint8)
+    digits = (rows[:, :, None] >> np.arange(l, dtype=rows.dtype)) & 1
     text = np.full((m, l, l + 1), ord(sep), dtype=np.uint8)
-    text[:, :, :l] = (digits & 1) + ord("0")
+    np.add(digits, ord("0"), out=text[:, :, :l], casting="unsafe")
     text[:, -1, -1] = ord("\n")  # ends each kernel's text
     return text.tobytes().decode("ascii").split("\n")[:-1]
 
@@ -259,7 +251,9 @@ def check_size_budget(
     l: int, depth: int, max_size: int = _MAX_SPECTRUM_SIZE, what: str = "spectrum"
 ) -> int:
     """l^depth, refused with BudgetExceededError above max_size, for an l of
-    at least 2 and a depth already checked to be a non-negative int.
+    at least 2 and a depth already checked to be a non-negative int. Every
+    size budget of the package is refused here; `what` names what l^depth
+    counts.
 
     l^depth is never formed for a huge depth: l^depth >= 2^depth, so any
     depth above max_size's bit length exceeds the budget whatever l is.

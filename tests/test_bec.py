@@ -242,6 +242,18 @@ def test_oracle_budget():
         exhaustive_split_oracle(G2, 4, 0.5, 0)
 
 
+@pytest.mark.parametrize("i", [-1, 4])
+def test_oracle_refuses_a_channel_index_outside_the_block(i):
+    with pytest.raises(ValueError, match=f"channel index {i} out of range for N=4"):
+        exhaustive_split_oracle(G2, 2, 0.5, i)
+
+
+def test_polarisation_distance_refuses_an_empty_spectrum():
+    empty = Spectrum(kernel=G2, depth=0, z=np.empty(0), design_eps=0.5)
+    with pytest.raises(ValueError, match="spectrum is empty"):
+        polarisation_distance(empty)
+
+
 # ---------------------------------------------------------------- spectra
 
 

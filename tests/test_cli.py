@@ -170,7 +170,7 @@ def test_no_partial_file_on_failed_write(tmp_path):
 )
 def test_oversized_family_refused_with_exit_3(argv, capsys):
     assert run(argv) == 3
-    assert "members, above the budget" in capsys.readouterr().err
+    assert "family budget of 65536" in capsys.readouterr().err
 
 
 def _write_code(tmp_path, **changes):
@@ -253,7 +253,7 @@ def test_exponent_oversized_kernel_exits_3(capsys):
     rows = ",".join("1" * 21 for _ in range(21))
     assert run(["exponent", "--kernel", "10,11", "--kernel", rows]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "not supported" in captured.err
+    assert captured.out == "" and "span-member budget" in captured.err
 
 
 _SIM_SMALL = ["simulate", "--kernel", "10,11", "--depth", "4", "--rate", "0.5",
@@ -379,7 +379,9 @@ def test_simulate_code_with_kernel_above_size_12_exits_3(tmp_path, capsys, monke
     assert run(["simulate", "--code", str(path), "--eps", "0.5",
                 "--max-trials", "100", "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: decoding tables enumerate 2^13 observation masks")
+    assert err.startswith(
+        "error: size 2^13 exceeds the decoding-table mask budget of 4096"
+    )
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -431,7 +433,7 @@ _CONSTRUCT = ["construct", "--kernel", "10,11", "--out", "refused.json"]
         (["analyze", "--kernel", "10,11", "--depth", "-1"], "--depth must be >= 0"),
         (["survey", "--size", "1"], "--size must be >= 2"),
         (["bound", "--kernel", "10,11", "--depth", "3", "--rates", "0.5,1.5"],
-         "--rates values must be in [0, 1]"),
+         "--rates must be in [0, 1], got 1.5"),
         (_CONSTRUCT + ["--depth", "3", "--rate", "1.5"], "--rate must be in [0, 1]"),
         (_CONSTRUCT + ["--depth", "3"], "provide --rate or --k"),
         (_CONSTRUCT + ["--depth", "-1", "--rate", "0.5"], "--depth must be >= 0"),

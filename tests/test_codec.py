@@ -368,8 +368,9 @@ def test_map_oracle_scalar_wrapper():
 
 
 def test_map_oracle_budget():
+    # The same N <= 8 budget as bec.exhaustive_split_oracle.
     code = PolarCode.construct(G2, 4, 8, 0.5)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="oracle block budget of 8"):
         map_oracle_decode(code, np.zeros(16, np.uint8))
 
 
@@ -731,8 +732,48 @@ def test_decoding_refuses_kernels_above_size_12_before_table_work(monkeypatch):
     # DET is the tables' first step; the node plan refuses the kernel before
     # any of it.
     monkeypatch.setattr(gf2, "bottom_up_reduce", no_table_work)
-    with pytest.raises(BudgetExceededError, match="above size 12"):
+    with pytest.raises(BudgetExceededError, match="decoding-table mask budget"):
         decode_batch(code, np.full((1, 13), Symbol.ERASED, dtype=np.uint8))
+
+
+def test_construct_refuses_bad_codes_before_the_spectrum(monkeypatch):
+    from polarkit import codec
+
+    def no_spectrum(*args):
+        raise AssertionError("spectrum evolved for a refused code")
+
+    # A singular 2x2 kernel at depth 24 would evolve 2^24 channels first.
+    monkeypatch.setattr(codec, "evolve_spectrum", no_spectrum)
+    with pytest.raises(ValueError, match="polar codes require an invertible kernel"):
+        PolarCode.construct(parse_kernel("11,11"), 24, 5)
+    with pytest.raises(ValueError, match=r"K must be in \[0, 8\], got 9"):
+        PolarCode.construct(G2, 3, 9)
+    with pytest.raises(ValueError, match="K must be >= 0, got -1"):
+        PolarCode.construct(G2, 3, -1)
+    with pytest.raises(BudgetExceededError, match="spectrum budget"):
+        PolarCode.construct(G2, 25, 1)
+
+
+def test_code_refuses_frozen_mask_or_values_of_the_wrong_length():
+    with pytest.raises(ValueError, match="frozen mask/values must have length 4"):
+        PolarCode(kernel=G2, depth=2, frozen_mask=[1, 0, 0], frozen_values=[0] * 4)
+    with pytest.raises(ValueError, match="frozen mask/values must have length 4"):
+        PolarCode(kernel=G2, depth=2, frozen_mask=[1, 0, 0, 0], frozen_values=[0] * 5)
+
+
+def test_construct_refuses_frozen_bits_of_the_wrong_length():
+    with pytest.raises(ValueError, match="frozen_bits length must equal N - K"):
+        PolarCode.construct(G2, 2, 2, frozen_bits=[1])
+
+
+def test_code_descriptor_must_be_a_json_object():
+    with pytest.raises(TypeError, match="code descriptor must be a JSON object"):
+        PolarCode.from_json_dict([PolarCode.construct(G2, 1, 1).to_json_dict()])
+
+
+def test_kernel_step_decide_refuses_observations_of_the_wrong_length():
+    with pytest.raises(ValueError, match="expected 2 observed symbols"):
+        kernel_step_decide(G2, 0, [], [0, 1, Symbol.ERASED])
 
 
 def test_code_depth_beyond_spectrum_budget_refused_before_power():

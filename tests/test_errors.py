@@ -1,8 +1,12 @@
 """The shared integer check and the argument rules routed through it."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import polarkit
 from polarkit import (
     PolarCode,
     evolve_spectrum,
@@ -75,3 +79,22 @@ def test_a_float_information_size_is_refused():
 
 def test_family_rows_takes_a_numpy_integer_size():
     assert np.array_equal(family_rows(np.int64(3)), family_rows(3))
+
+
+def test_only_check_size_budget_raises_budget_exceeded():
+    # Every size budget is refused by kernels.check_size_budget, so each
+    # refusal has one overflow-safe check and one message form.
+    sites = []
+    for path in sorted(Path(polarkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name != "BudgetExceededError":
+                continue
+            owners = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            sites.append((path.name, owners[-1] if owners else None))
+    assert sites == [("kernels.py", "check_size_budget")]

@@ -7,6 +7,16 @@ from hypothesis.extra.numpy import arrays
 from polarkit import gf2
 
 
+def test_as_bits_refuses_the_wrong_dimension():
+    with pytest.raises(ValueError, match=r"2-dimensional array, got shape \(2,\)"):
+        gf2.as_bits([0, 1], 2)
+
+
+def test_solve_refuses_a_right_hand_side_of_the_wrong_length():
+    with pytest.raises(ValueError, match="right-hand side length"):
+        gf2.solve(np.eye(2, dtype=np.uint8), [1, 0, 1])
+
+
 def test_rank_identity():
     assert gf2.rank(np.eye(4, dtype=np.uint8)) == 4
 

@@ -45,3 +45,25 @@ def test_atomic_write_text_cleans_up_after_a_failed_write(tmp_path, monkeypatch)
         atomic_write_text(target, "new contents\ud800")
     assert target.read_bytes() == b"old contents"
     assert os.listdir(tmp_path) == ["out.csv"]  # no temporary file left
+
+
+def test_atomic_write_text_keeps_the_write_error_when_clean_up_fails(
+    tmp_path, monkeypatch
+):
+    # The temporary file cannot be removed either: the write's own error is
+    # the one raised, and the destination is untouched.
+    monkeypatch.setattr(ioutil, "_WRITE_SLICE", 4)
+    removed = []
+
+    def unlink_fails(path):
+        removed.append(path)
+        raise PermissionError(path)
+
+    monkeypatch.setattr(ioutil.os, "unlink", unlink_fails)
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"old contents")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(target, "new contents\ud800")
+    assert target.read_bytes() == b"old contents"
+    (left,) = removed
+    assert sorted(os.listdir(tmp_path)) == sorted(["out.csv", os.path.basename(left)])

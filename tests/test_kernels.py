@@ -138,9 +138,9 @@ def test_batch_distances_match_brute_force(l, family):
 @pytest.mark.parametrize("size", [21, 40])
 def test_partial_distances_refuse_oversized_kernels(size):
     big = Kernel(np.eye(size, dtype=np.uint8))
-    with pytest.raises(BudgetExceededError, match="not supported"):
+    with pytest.raises(BudgetExceededError, match="span-member budget"):
         partial_distances(big)
-    with pytest.raises(BudgetExceededError, match="not supported"):
+    with pytest.raises(BudgetExceededError, match="span-member budget"):
         rate_exponent_table([big])
 
 
@@ -258,6 +258,26 @@ def test_family_rows_match_enumerated_kernels(l, family):
     assert rows.dtype == np.uint32 and rows.shape == (rows.shape[0], l)
     want = np.array([k.row_bits() for k in enumerate_kernels(l, family)])
     assert np.array_equal(rows, want)
+
+
+def test_descriptor_of_a_kernel_wider_than_64_columns():
+    # Rows of more than 64 bits fit no numpy integer dtype.
+    big = Kernel(np.eye(65, dtype=np.uint8)[::-1])
+    rows = ["0" * (64 - i) + "1" + "0" * i for i in range(65)]
+    assert big.descriptor() == ",".join(rows)
+    assert big.to_json_dict() == {"l": 65, "rows": rows}
+    assert parse_kernel(big.descriptor()) == big
+
+
+def test_kernel_matrix_must_be_square():
+    with pytest.raises(KernelFormatError, match=r"square, got shape \(2, 3\)"):
+        Kernel(np.zeros((2, 3), dtype=np.uint8))
+
+
+def test_kernel_json_size_must_match_its_rows():
+    assert Kernel.from_json_dict(G2.to_json_dict()) == G2
+    with pytest.raises(KernelFormatError, match="'l' field does not match"):
+        Kernel.from_json_dict({"l": 3, "rows": ["10", "11"]})
 
 
 def test_family_rows_budget():

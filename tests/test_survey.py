@@ -86,6 +86,11 @@ def test_group_survey_rejects_empty():
         group_survey([], 0.5, 3)
 
 
+def test_group_survey_rejects_mixed_sizes():
+    with pytest.raises(ValueError, match="kernel family mixes sizes"):
+        group_survey([G2, parse_kernel("100,110,011")], 0.5, 3)
+
+
 def test_group_survey_matches_scalar_signature():
     rng = np.random.default_rng(17)
     fam = [Kernel(rng.integers(0, 2, (4, 4), dtype=np.uint8)) for _ in range(24)]
