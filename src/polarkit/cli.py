@@ -113,13 +113,18 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _rates(text: str, option: str) -> list[float]:
-    """A comma-separated list of at least one rate in [0, 1]."""
+    """A comma-separated list of at least one rate in [0, 1], with no empty
+    item: a doubled, leading or trailing comma is more likely a typo than
+    intent."""
+    items = text.split(",")
+    if not any(items):
+        raise ValueError(f"{option} must list at least one rate")
+    if not all(items):
+        raise ValueError(f"bad {option}: empty item in {text!r}")
     try:
-        rates = [float(r) for r in text.split(",") if r]
+        rates = [float(r) for r in items]
     except ValueError as exc:
         raise ValueError(f"bad {option}: {exc}") from None
-    if not rates:
-        raise ValueError(f"{option} must list at least one rate")
     for rate in rates:
         check_unit_interval(rate, option)
     return rates
@@ -258,8 +263,8 @@ def _cmd_simulate(ns) -> int:
             # Field checks raise the first three (JSONDecodeError is a ValueError);
             # a huge design_eps overflows float() and deep nesting json.load.
             raise ValueError(f"bad code descriptor: {exc}") from None
-    elif ns.kernel and ns.depth is not None:
-        ns.info_k = None
+    elif ns.kernel and ns.depth is not None and ns.rate is not None:
+        ns.info_k = None  # simulate has no --k
         code = _construct_code(ns, ns.design_eps, "--design-eps")
     else:
         raise ValueError("provide --code, or --kernel with --depth and --rate")

@@ -30,6 +30,14 @@ descending only the frames with an erased message measured slower.
 A node packs the l message columns of each kernel operation into words in
 the narrowest dtype that holds l + 1 bits (uint8 for l < 8, uint16 up to
 l = 12), and each child message is one gather from two per-kernel tables.
+A decode of B words of length N holds its decisions and flags (2 bytes per
+symbol) and, at each open node, the node's two masks and its children's
+partial re-encoding, about 3/(l - 1) packed words per symbol over all open
+levels. Words, messages and bools are freed once read: the digit-reversed
+words once the root's masks are built, and a caller's words at once if they
+are passed as a temporary (from Python 3.11; before it, a call holds its
+arguments until it returns). `sim._decode_flagged`, which also holds the
+frames' inputs, peaks at about 5.7 bytes per symbol (B * N) for l = 3.
 
 The genie screen runs the same recursion on bit-packed knownness planes of
 many trials at once. It has two entry points over one per-level routine:
@@ -521,9 +529,21 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     flags = np.zeros((batch, code.N), dtype=np.uint8)
     poison = np.zeros(batch, dtype=bool)
 
-    def rec(msg: np.ndarray, lo: int, k: int) -> np.ndarray:
+    def pack(bits: np.ndarray) -> np.ndarray:
+        """Column masks of (B, l, m/l) bools: bit c of entry (b, j) is
+        bits[b, c, j]. Where the masks fit in a byte (l < 8), the bools'
+        bytes are shifted in place, so a mask adds only its (B, m/l)."""
+        b = bits.view(np.uint8)
+        if narrow is np.uint8:
+            b <<= shifts
+        else:
+            b = b << shifts  # uint8 << uint16 widens to uint16
+        return b.sum(axis=1, dtype=narrow)
+
+    def rec(msg: np.ndarray, lo: int, k: int) -> np.ndarray | None:
         """Decode inputs lo..lo+m-1 (level k) from their m messages; return
-        the re-encoding of the decisions (rows broadcast against the batch)."""
+        the re-encoding of the decisions (rows broadcast against the batch),
+        or None at the root, whose re-encoding nobody reads."""
         nonlocal poison
         m = msg.shape[1]
         if plan.rate0[k][lo // m]:
@@ -551,21 +571,32 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
                 u_hat[:, lo : lo + m] = decided
                 flags[poison, lo : lo + m] = ~frozen[lo : lo + m]
                 return msg
-        kappa = (known.astype(narrow) << shifts).sum(axis=1, dtype=narrow)
-        # Freed here, so no open level holds its (B, m) bools while the
-        # children run.
-        del known
-        obs = ((v == 1).astype(narrow) << shifts).sum(axis=1, dtype=narrow)
+        kappa = pack(known)
+        del known  # freed before the next mask is built
+        obs = pack(v == 1)
         obs |= observed
+        # Freed here, so no open level holds its messages while the children
+        # run: each child's messages, and what it returns, are temporaries
+        # of the call below.
+        del v, msg
         prior = np.zeros_like(kappa)
         for t in range(l):
-            child = par[lamx[t][kappa] & (obs ^ prior)]
-            prior ^= rec(child, lo + t * (m // l), k + 1) * row_bits[t]
-        unpacked = (prior[:, None, :] >> shifts) & 1
+            prior ^= rec(
+                par[lamx[t][kappa] & (obs ^ prior)], lo + t * (m // l), k + 1
+            ) * row_bits[t]
+        if not k:
+            return None
+        unpacked = prior[:, None, :] >> shifts
+        unpacked &= 1
         return unpacked.astype(np.uint8, copy=False).reshape(batch, m)
 
+    # The root takes the only reference to the digit-reversed words, and
+    # frees them once its masks are built; a caller that passes its words
+    # as a temporary has them freed here.
+    words = [ys[:, digit_reversal_permutation(l, code.depth)]]
+    del ys
     try:
-        rec(ys[:, digit_reversal_permutation(l, code.depth)], 0, 0)
+        rec(words.pop(), 0, 0)
     finally:
         # rec's closure refers to rec itself; without this the cycle would
         # keep this call's arrays alive until the cyclic collector runs.

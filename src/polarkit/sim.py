@@ -31,8 +31,9 @@ own words from the keyed stream, so the rows do not depend on the split.
 A bit transpose turns a chunk's rows into one bitplane per output position,
 eight trials per byte. A chunk is min(_CHUNK_TRIALS, max(64, S // N rounded
 down to a multiple of 64)) trials, S being the symbol budget _BATCH_SYMBOLS
-(2**24): 2**13 trials up to N = 2048 (at N = 1024 a chunk's planes take
-1 MB), and at most S symbols once N > 2**18. The transpose runs the six
+(2**23): 2**13 trials up to N = 1024, at most S symbols below N = 2**17,
+so that a chunk's planes take at most 1 MiB (S bits, as at N = 1024), and
+64 trials, more than S symbols, once N > 2**17. The transpose runs the six
 delta-swap rounds of a 64x64 bit transpose over every tile of the chunk at
 once, with the tiles stored row-slab major so that each round works on
 contiguous runs, frees the rounds' scratch, and copies the tiles into the
@@ -239,11 +240,13 @@ _BLOCK_SYMBOLS = 1 << 16
 #: pending, frees the spent chunk, then decodes in batches
 _DECODE_FRAMES = 1 << 10
 
-#: symbols one chunk or one decode takes at most (but never fewer than 64
-#: trials or one frame), so neither grows with N beyond N = 2**18 (a chunk)
-#: or N = 16,384 (a decode); a smaller budget costs time, as each
+#: symbols one chunk or one decode takes at most, but never fewer than 64
+#: trials or one frame: a chunk is S // N trials (rounded down to a multiple
+#: of 64) once N > 1024 and 64 trials once N > 2**17, and a decode takes
+#: fewer than _DECODE_FRAMES frames once N > 8,192. Below N = 2**17 a chunk's
+#: planes fit in 1 MiB of cache; a smaller budget costs time, as each
 #: decode_batch call has a fixed cost of order N
-_BATCH_SYMBOLS = 1 << 24
+_BATCH_SYMBOLS = 1 << 23
 
 #: trials per chunk at short lengths, where the symbol budget allows more
 _CHUNK_TRIALS = 1 << 13
@@ -394,6 +397,17 @@ def _assemble_inputs(code: PolarCode, trial_indices, master_seed: int) -> np.nda
     return u
 
 
+def _received_words(code: PolarCode, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The codewords of input rows `u`, erased where their packed known rows
+    have a clear bit."""
+    y = _encode_batch(code.kernel, u)
+    # Symbols are 0 or 1, and a bool erasure shifted left once is 2 ==
+    # Symbol.ERASED, so the maximum erases exactly the erased symbols.
+    erased = _unpack_erased(rows, code.N).view(np.uint8)
+    erased <<= 1
+    return np.maximum(y, erased, out=y)
+
+
 def _decode_flagged(
     code: PolarCode, trial_ids: np.ndarray, rows: np.ndarray, master_seed: int
 ) -> tuple[int, int]:
@@ -401,14 +415,9 @@ def _decode_flagged(
     decoded in one batch from their packed known rows. The decoder never
     errs at or flags a frozen position, so the tallies run over whole rows."""
     u = _assemble_inputs(code, trial_ids, master_seed)
-    y = _encode_batch(code.kernel, u)
-    # Symbols are 0 or 1, and a bool erasure shifted left once is 2 ==
-    # Symbol.ERASED, so the maximum erases exactly the erased symbols.
-    erased = _unpack_erased(rows, code.N).view(np.uint8)
-    erased <<= 1
-    np.maximum(y, erased, out=y)
-    del erased  # not held through the decode
-    bad, flags = decode_batch(code, y)
+    # The received words are a temporary of the call, so the decoder frees
+    # them once it has digit-reversed them.
+    bad, flags = decode_batch(code, _received_words(code, u, rows))
     bad ^= u  # 1 where a decision is wrong (decisions and bits are 0 or 1)
     bad |= flags  # or flagged
     if not bad.any(axis=1).all():

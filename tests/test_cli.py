@@ -439,6 +439,12 @@ _CONSTRUCT = ["construct", "--kernel", "10,11", "--out", "refused.json"]
         (_CONSTRUCT + ["--depth", "-1", "--rate", "0.5"], "--depth must be >= 0"),
         (["bound", "--kernel", "10,11", "--depth", "3", "--rates", ","],
          "--rates must list at least one rate"),
+        (_SIM_CODE + ["--eps", "0.5,,0.3"], "bad --eps: empty item in '0.5,,0.3'"),
+        (["bound", "--kernel", "10,11", "--depth", "3", "--rates", "0.5,"],
+         "bad --rates: empty item in '0.5,'"),
+        (_SIM_CODE + ["--eps", ",0.5"], "bad --eps: empty item in ',0.5'"),
+        (["simulate", "--kernel", "10,11", "--depth", "3", "--eps", "0.5"],
+         "error: provide --code, or --kernel with --depth and --rate\n"),
     ],
     ids=["simulate_eps_malformed", "simulate_eps_empty",
          "simulate_min_frame_errors_0", "simulate_max_trials_0",
@@ -447,7 +453,9 @@ _CONSTRUCT = ["construct", "--kernel", "10,11", "--out", "refused.json"]
          "bound_rates_malformed", "analyze_depth_negative", "survey_size_1",
          "bound_rate_above_1", "construct_rate_above_1",
          "construct_without_rate_or_k", "construct_depth_negative",
-         "bound_rates_empty"],
+         "bound_rates_empty", "simulate_eps_doubled_comma",
+         "bound_rates_trailing_comma", "simulate_eps_leading_comma",
+         "simulate_kernel_without_rate"],
 )
 def test_bad_option_value_exits_2(capsys, argv, message):
     assert run(argv) == 2

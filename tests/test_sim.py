@@ -1,3 +1,5 @@
+import sys
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -140,16 +142,17 @@ def test_batch_size_does_not_change_results(monkeypatch):
     "kernel, depth, k, max_trials, want",
     [
         (G2, 10, 512, 8292, [8192, 128]),
-        # 2^24 symbols hold 7,671 trials of N = 2187, rounded down to 7,616.
-        (parse_kernel("100,110,111"), 7, 1093, 8000, [7616, 384]),
-        (G2, 16, 32768, 300, [256, 64]),
+        # 2^23 symbols hold 3,835 trials of N = 2187, rounded down to 3,776
+        # (1 MiB of planes, as at N = 1024), and 128 trials of N = 65,536.
+        (parse_kernel("100,110,111"), 7, 1093, 8000, [3776, 3776, 448]),
+        (G2, 16, 32768, 300, [128, 128, 64]),
     ],
     ids=["N1024", "N2187", "N65536"],
 )
 def test_chunks_are_sized_from_the_code_length(
     monkeypatch, kernel, depth, k, max_trials, want
 ):
-    # A chunk is 2^13 trials at short lengths and at most 2^24 symbols at
+    # A chunk is 2^13 trials at short lengths and at most 2^23 symbols at
     # long ones, always a multiple of 64 trials (the last one padded up).
     from polarkit import sim
 
@@ -442,6 +445,40 @@ def test_flush_decodes_within_the_frame_and_symbol_caps(
     assert got == want
     assert sum(sizes) == want.frame_errors
     assert max(sizes) == cap
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 a call holds its arguments until it returns, so the "
+    "decoder cannot free the words it is passed",
+)
+def test_flagged_decode_peak_memory_per_symbol():
+    # One copy of the received words, freed once the root has built its
+    # masks, and no open level holding its messages: 5.7 bytes per symbol
+    # measured (G_3, N = 729, 252 frames). Holding the words twice, with a
+    # full-size temporary per mask, took 8.4; freeing one copy but keeping
+    # each open level's messages took 6.4.
+    from polarkit.codec import _node_plan, _screen_known_planes
+
+    code = PolarCode.construct(parse_kernel("100,110,011"), 6, 243, 0.5)
+    n, trials = code.N, 2048
+    rows = sim._known_rows(9, 0.45, n, 0, trials)
+    planes = sim._bit_transpose(rows, trials, 64 * -(-n // 64))
+    frame_plane = _screen_known_planes(
+        code.kernel, _node_plan(code), planes[:n].view(np.uint8)
+    )
+    ids = np.flatnonzero(np.unpackbits(frame_plane, count=trials, bitorder="little"))
+    assert ids.size > 200
+    held = rows[ids]
+    want = sim._decode_flagged(code, ids, held, 9)  # warms the per-code caches
+    tracemalloc.start()
+    try:
+        got = sim._decode_flagged(code, ids, held, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 6.0 * ids.size * n
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
