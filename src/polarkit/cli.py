@@ -5,7 +5,8 @@ oracle-check. Every option is validated before any computation starts; file
 outputs are written atomically. Exit codes: 0 success; 3 for a budget,
 memory or I/O failure (BudgetExceededError, MemoryError, OSError) and a
 failed oracle check; 2 for any other ValueError, each of which refuses bad
-input. Relative output paths resolve under $POLARKIT_OUT_DIR when it is set.
+input. Relative output paths resolve under $POLARKIT_OUT_DIR when it is set;
+input paths (`simulate --code`) are read as given.
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ def _cmd_simulate(ns) -> int:
     check_key_word(ns.seed, "--seed")
     if ns.code:
         try:
-            with open(_out_path(ns.code)) as fh:
+            with open(ns.code) as fh:
                 code = PolarCode.from_json_dict(json.load(fh, parse_int=_json_int))
         except FileNotFoundError as exc:
             raise ValueError(f"code file not found: {exc.filename}") from None

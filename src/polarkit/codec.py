@@ -36,8 +36,15 @@ partial re-encoding, about 3/(l - 1) packed words per symbol over all open
 levels. Words, messages and bools are freed once read: the digit-reversed
 words once the root's masks are built, and a caller's words at once if they
 are passed as a temporary (from Python 3.11; before it, a call holds its
-arguments until it returns). `sim._decode_flagged`, which also holds the
-frames' inputs, peaks at about 5.7 bytes per symbol (B * N) for l = 3.
+arguments until it returns). A node's second mask is built in its own
+messages, its partial re-encoding is allocated once its first child
+returns, and the decisions and flags once the root's masks are built (a
+root that is a leaf allocates them just before it writes). So
+`sim._decode_flagged`, which also holds the frames' inputs packed, peaks at
+a level-1 node, at 3.6-4.5 bytes per symbol (B * N) for G_e and G_3: the
+outputs, the root's three packed words per kernel operation (3/l per
+symbol) and that node's messages with its masks, or with its known-message
+leaf's re-encoding.
 
 The genie screen runs the same recursion on bit-packed knownness planes of
 many trials at once. It has two entry points over one per-level routine:
@@ -285,7 +292,11 @@ def _kron_encode(g: np.ndarray, u: np.ndarray) -> np.ndarray:
                 np.bitwise_xor(out, xb[:, r], out=out)
         x, y = y, x
         step *= l
-    return np.ascontiguousarray(x.T)
+    # The spare buffer (the last round's source) takes the frames-first
+    # result, so the transpose adds no third (B, N) array.
+    out = y.reshape(u.shape)
+    out[...] = x.T
+    return out
 
 
 def _encode_batch(kernel: Kernel, bits: np.ndarray) -> np.ndarray:
@@ -525,9 +536,15 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     shifts = np.arange(l, dtype=narrow)[:, None]
     observed = narrow(1 << l)
     values, frozen = code.frozen_values, code.frozen_mask == 1
-    u_hat = np.empty((batch, code.N), dtype=np.uint8)
-    flags = np.zeros((batch, code.N), dtype=np.uint8)
+    u_hat = flags = None
     poison = np.zeros(batch, dtype=bool)
+
+    def allocate() -> None:
+        """The outputs, allocated by the root: a leaf root before it writes,
+        any other root once its masks are built and its words freed."""
+        nonlocal u_hat, flags
+        u_hat = np.empty((batch, code.N), dtype=np.uint8)
+        flags = np.zeros((batch, code.N), dtype=np.uint8)
 
     def pack(bits: np.ndarray) -> np.ndarray:
         """Column masks of (B, l, m/l) bools: bit c of entry (b, j) is
@@ -548,11 +565,15 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
         m = msg.shape[1]
         if plan.rate0[k][lo // m]:
             # Rate-0 subtree: the decisions are the frozen values.
+            if not k:
+                allocate()
             enc = plan.encoded[lo : lo + m]
             u_hat[:, lo : lo + m] = values[lo : lo + m]
             poison |= ((msg <= 1) & (msg != enc)).any(axis=1)
             return enc
         if m == 1:
+            if not k:
+                allocate()
             bit = msg[:, 0]
             flag = poison | (bit > 1)
             u_hat[:, lo] = np.where(flag, 0, bit)
@@ -567,20 +588,33 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
             cols = np.flatnonzero(frozen[lo : lo + m])
             clash = (decided[:, cols] != values[lo + cols]).any(axis=1)
             if not (clash & ~poison).any():
+                if not k:
+                    allocate()
                 decided[poison] = values[lo : lo + m]
                 u_hat[:, lo : lo + m] = decided
                 flags[poison, lo : lo + m] = ~frozen[lo : lo + m]
                 return msg
         kappa = pack(known)
         del known  # freed before the next mask is built
-        obs = pack(v == 1)
+        # The node owns its messages (the root's digit-reversed copy, a
+        # child's gather), so the second mask's bools overwrite them.
+        obs = pack(np.equal(v, 1, out=v.view(bool)))
         obs |= observed
         # Freed here, so no open level holds its messages while the children
         # run: each child's messages, and what it returns, are temporaries
-        # of the call below.
+        # of the calls below.
         del v, msg
-        prior = np.zeros_like(kappa)
-        for t in range(l):
+        if not k:
+            allocate()
+        # Child 0 reads the observations alone, and `prior` is allocated only
+        # once it returns (arguments are evaluated in order); a rate-0 child
+        # returns one row, which broadcasts into it.
+        prior = np.multiply(
+            rec(par[lamx[0][kappa] & obs], lo, k + 1),
+            row_bits[0],
+            out=np.empty_like(kappa),
+        )
+        for t in range(1, l):
             prior ^= rec(
                 par[lamx[t][kappa] & (obs ^ prior)], lo + t * (m // l), k + 1
             ) * row_bits[t]

@@ -58,7 +58,9 @@ their known rows, until one decode batch (at most _DECODE_FRAMES frames and
 _BATCH_SYMBOLS symbols) is pending or the run stops. That flush frees the
 spent chunk (its rows, plane buffer and frame-error plane), then decodes
 them in such batches. Fewer than one batch waits between chunks, so at any N
-a flush holds at most one batch more than its chunk's own flagged rows.
+a flush holds at most one batch more than its chunk's own flagged rows. A
+batch keeps its frames' inputs only as packed bits (N/8 bytes a frame) from
+the encode to the tallies; the full input rows are freed once encoded.
 The tallies are exactly those of decoding every trial individually
 (verified in tests against the literal per-trial loop).
 """
@@ -343,14 +345,10 @@ def _sub_blocks(n: int, trials: int) -> list[tuple[int, int, int, int]]:
 def _erasure_block(
     master_seed: int, eps: float, n: int, trial_start: int, trials: int
 ) -> np.ndarray:
-    """Erasure pattern rows for trials [trial_start, trial_start + trials)."""
-    return _unpack_erased(_known_rows(master_seed, eps, n, trial_start, trials), n)
-
-
-def _unpack_erased(rows: np.ndarray, n: int) -> np.ndarray:
-    """Bool erasure rows (True = erased) from packed known rows."""
-    bits = np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little")
-    return bits == 0
+    """Bool erasure rows (True = erased) for trials [trial_start,
+    trial_start + trials)."""
+    rows = _known_rows(master_seed, eps, n, trial_start, trials)
+    return np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little") == 0
 
 
 def bec_transmit(x, ch: BecChannel) -> np.ndarray:
@@ -399,13 +397,15 @@ def _assemble_inputs(code: PolarCode, trial_indices, master_seed: int) -> np.nda
 
 def _received_words(code: PolarCode, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The codewords of input rows `u`, erased where their packed known rows
-    have a clear bit."""
+    have a clear bit. Inputs passed as a temporary are freed once encoded."""
     y = _encode_batch(code.kernel, u)
-    # Symbols are 0 or 1, and a bool erasure shifted left once is 2 ==
+    del u
+    # Symbols are 0 or 1, and an erasure bit shifted left once is 2 ==
     # Symbol.ERASED, so the maximum erases exactly the erased symbols.
-    erased = _unpack_erased(rows, code.N).view(np.uint8)
-    erased <<= 1
-    return np.maximum(y, erased, out=y)
+    bits = np.unpackbits(rows.view(np.uint8), axis=1, count=code.N, bitorder="little")
+    bits ^= 1  # 1 where erased
+    bits <<= 1
+    return np.maximum(y, bits, out=y)
 
 
 def _decode_flagged(
@@ -414,11 +414,14 @@ def _decode_flagged(
     """Bit errors and bit erasures of the screen-flagged trials `trial_ids`,
     decoded in one batch from their packed known rows. The decoder never
     errs at or flags a frozen position, so the tallies run over whole rows."""
-    u = _assemble_inputs(code, trial_ids, master_seed)
-    # The received words are a temporary of the call, so the decoder frees
-    # them once it has digit-reversed them.
-    bad, flags = decode_batch(code, _received_words(code, u, rows))
-    bad ^= u  # 1 where a decision is wrong (decisions and bits are 0 or 1)
+    u = [_assemble_inputs(code, trial_ids, master_seed)]
+    # Only the packed inputs are held through the decode: the full rows and
+    # then the received words are temporaries of the calls below, freed once
+    # encoded and once digit-reversed.
+    inputs = np.packbits(u[0], axis=1)
+    bad, flags = decode_batch(code, _received_words(code, u.pop(), rows))
+    # 1 where a decision is wrong (decisions and bits are 0 or 1)
+    bad ^= np.unpackbits(inputs, axis=1, count=code.N)
     bad |= flags  # or flagged
     if not bad.any(axis=1).all():
         raise AssertionError("screen flagged a frame the decoder resolved")

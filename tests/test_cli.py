@@ -144,6 +144,24 @@ def test_out_dir_env_var(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "rel.csv").exists()
 
 
+def test_out_dir_env_var_leaves_the_code_input_path_alone(
+    tmp_path, monkeypatch, capsys
+):
+    # Only output paths resolve under $POLARKIT_OUT_DIR: a relative --code is
+    # read from the working directory, and the CSV lands under the out dir.
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert run(["construct", "--kernel", "10,11", "--depth", "3", "--rate",
+                "0.5", "--out", "c.json"]) == 0
+    monkeypatch.setenv("POLARKIT_OUT_DIR", str(out_dir))
+    assert run(["simulate", "--code", "c.json", "--eps", "0.3",
+                "--max-trials", "64", "--out", "sim.csv"]) == 0
+    assert "error" not in capsys.readouterr().err
+    assert (out_dir / "sim.csv").exists()
+    assert not (out_dir / "c.json").exists()
+
+
 def test_construct_rejects_singular_kernel(tmp_path):
     assert run(["construct", "--kernel", "10,10", "--depth", "2",
                 "--rate", "0.5", "--out", str(tmp_path / "c.json")]) == 2

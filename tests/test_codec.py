@@ -1052,3 +1052,35 @@ def test_decoders_refuse_input_of_the_wrong_shape(decode, shape):
         ValueError, match=r"^expected (shape \(B, 4\)|4 received symbols), got "
     ):
         decode(code, np.zeros(shape, np.uint8))
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("kernel", [G2, G101], ids=["G2", "G3"])
+def test_leaf_roots_decode_as_the_map_oracle(kernel, batch):
+    # A root that is itself a leaf allocates the outputs just before it
+    # writes them: a rate-0 root (K = 0), a known-message root (every symbol
+    # received, at K = N and K = N/2) and a size-1 root (depth 0).
+    rng = np.random.default_rng(39)
+    n = kernel.l**2
+    values = rng.integers(0, 2, n, dtype=np.uint8)
+    rate0 = PolarCode(
+        kernel=kernel, depth=2, frozen_mask=np.ones(n, np.uint8), frozen_values=values
+    )
+    cases = [(rate0, rng.integers(0, 3, (batch, n), dtype=np.uint8))]
+    for k in (n, n // 2):
+        code = PolarCode.construct(
+            kernel, 2, k, 0.5, frozen_bits=rng.integers(0, 2, n - k)
+        )
+        u = np.tile(code.frozen_values, (batch, 1))
+        u[:, code.info_set] = rng.integers(0, 2, (batch, k))
+        cases.append((code, _encode_batch(kernel, u)))
+    for frozen in (0, 1):
+        code = PolarCode(
+            kernel=kernel, depth=0, frozen_mask=[frozen], frozen_values=[frozen]
+        )
+        cases += [(code, np.full((batch, 1), s, np.uint8)) for s in Symbol]
+    for code, ys in cases:
+        u_sc, f_sc = decode_batch(code, ys)
+        u_mp, f_mp = _map_decode_batch(code, ys)
+        assert np.array_equal(u_sc, u_mp)
+        assert np.array_equal(f_sc, f_mp)
