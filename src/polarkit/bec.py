@@ -19,13 +19,12 @@ Channel indices, like all indices in this package, are 0-based.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2
-from .errors import check_integer, check_unit_interval
+from .errors import check_design_rate, check_integer, check_unit_interval
 from .kernels import Kernel, check_size_budget, reference_generator
 
 #: most erasure patterns a count table enumerates: 2^l, so kernels up to 20x20
@@ -147,9 +146,8 @@ def bernstein_eval(counts, z):
 
 def evaluate_erasure(p: TransitionProfile, i: int, z: float) -> float:
     """Erasure probability of split channel i at raw erasure rate z."""
-    if not 0 <= i < p.l:
-        raise ValueError(f"channel index {i} out of range for l={p.l}")
-    check_unit_interval(z, "erasure rate")
+    i = check_integer(i, "channel index", maximum=p.l - 1)
+    z = check_unit_interval(z, "erasure rate")
     return float(bernstein_eval(np.array(p.counts[i]), z))
 
 
@@ -203,22 +201,13 @@ def evolve_spectrum(k: Kernel, eps0: float, depth: int) -> Spectrum:
     The last level of `_spectrum_levels` for a batch of one kernel; depth = 0
     returns [eps0].
     """
-    check_unit_interval(eps0, "design erasure rate")
+    eps0 = check_unit_interval(eps0, "design erasure rate")
     depth = check_integer(depth, "depth")
     check_size_budget(k.l, depth)
     z = np.array([[eps0]])
     for z in _spectrum_levels(batch_profiles([k.row_bits()], k.l), eps0, depth):
         pass
     return Spectrum(kernel=k, depth=depth, z=z[0], design_eps=eps0)
-
-
-def _normalisable(eps0: float) -> bool:
-    """Whether eps0 * eps0, the distance's normalisation, is a normal float.
-
-    A square that underflows to 0 leaves the distance undefined, and a
-    subnormal one loses precision enough to change a survey's grouping.
-    """
-    return eps0 * eps0 >= sys.float_info.min
 
 
 def polarisation_distance(s: Spectrum) -> float:
@@ -232,12 +221,8 @@ def polarisation_distance(s: Spectrum) -> float:
     """
     if s.size == 0:
         raise ValueError("spectrum is empty")
-    if not _normalisable(s.design_eps):
-        raise ValueError(
-            "normalisation undefined: design erasure rate squares to 0 or to a "
-            "subnormal float"
-        )
-    return float(_distances(s.z, s.design_eps))
+    eps0 = check_design_rate(s.design_eps, "design erasure rate")
+    return float(_distances(s.z, eps0))
 
 
 def select_information_set(s: Spectrum, K: int) -> np.ndarray:
@@ -261,9 +246,9 @@ def bound_curve(s: Spectrum, rates) -> list[tuple[float, int, float]]:
     """(rate, K, union bound) rows with K = round(rate * N)."""
     rows = []
     for rate in rates:
-        check_unit_interval(rate, "rate")
+        rate = check_unit_interval(rate, "rate")
         k_info = round(rate * s.size)
-        rows.append((float(rate), k_info, bler_upper_bound(s, k_info)))
+        rows.append((rate, k_info, bler_upper_bound(s, k_info)))
     return rows
 
 
@@ -290,11 +275,10 @@ def exhaustive_split_oracle(k: Kernel, depth: int, eps: float, i: int) -> float:
     marginalising the future inputs uniformly. Independent of the count-table
     machinery above; used as its ground truth. N = l^depth must not exceed 8.
     """
-    check_unit_interval(eps, "erasure rate")
+    eps = check_unit_interval(eps, "erasure rate")
     depth = check_integer(depth, "depth")
     n_block = check_size_budget(k.l, depth, _MAX_ORACLE_BLOCK, "oracle block")
-    if not 0 <= i < n_block:
-        raise ValueError(f"channel index {i} out of range for N={n_block}")
+    i = check_integer(i, "channel index", maximum=n_block - 1)
     gen = reference_generator(k, depth)
     n_in = 1 << n_block
     u_all = (np.arange(n_in)[:, None] >> np.arange(n_block - 1, -1, -1)) & 1

@@ -19,8 +19,8 @@ from pathlib import Path
 
 from . import bec, survey as survey_mod
 from .codec import PolarCode
-from .errors import _SEED_LIMIT, BudgetExceededError, check_integer, check_key_word
-from .errors import check_unit_interval
+from .errors import _SEED_LIMIT, BudgetExceededError, _normalisable, check_integer
+from .errors import check_design_rate, check_key_word, check_unit_interval
 # enumerate_kernels is unused here but stays importable: bench/tracing.py
 # hooks `polarkit.cli.enumerate_kernels`.
 from .kernels import (  # noqa: F401
@@ -126,9 +126,7 @@ def _rates(text: str, option: str) -> list[float]:
         rates = [float(r) for r in items]
     except ValueError as exc:
         raise ValueError(f"bad {option}: {exc}") from None
-    for rate in rates:
-        check_unit_interval(rate, option)
-    return rates
+    return [check_unit_interval(rate, option) for rate in rates]
 
 
 def _cmd_analyze(ns) -> int:
@@ -139,7 +137,7 @@ def _cmd_analyze(ns) -> int:
     # eps0^2 normalises d_p; it is undefined where that square is 0 and
     # imprecise where it is subnormal.
     dist = float("nan")
-    if bec._normalisable(ns.eps):
+    if _normalisable(ns.eps):
         dist = bec.polarisation_distance(spectrum)
     if ns.out:
         atomic_write_text(_out_path(ns.out), bec.spectrum_csv_text(spectrum))
@@ -152,13 +150,7 @@ def _cmd_analyze(ns) -> int:
 
 def _cmd_survey(ns) -> int:
     check_integer(ns.size, "--size", 2)
-    # A survey normalises by eps^2, so an eps whose square underflows to 0
-    # has no distance curves, and one whose square is subnormal has
-    # imprecise ones.
-    if not 0.0 < ns.eps <= 1.0 or not bec._normalisable(ns.eps):
-        raise ValueError(
-            f"--eps must be in (0, 1] and square to a normal float, got {ns.eps}"
-        )
+    check_design_rate(ns.eps, "--eps")
     depth = ns.depth if ns.depth is not None else (7 if ns.size == 3 else 5)
     check_integer(depth, "--depth", 1)
     records = survey_mod.survey_family(ns.size, ns.family, ns.eps, depth)
@@ -260,9 +252,9 @@ def _cmd_simulate(ns) -> int:
                 code = PolarCode.from_json_dict(json.load(fh, parse_int=_json_int))
         except FileNotFoundError as exc:
             raise ValueError(f"code file not found: {exc.filename}") from None
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             # Field checks raise the first three (JSONDecodeError is a ValueError);
-            # a huge design_eps overflows float() and deep nesting json.load.
+            # deep nesting overflows json.load's stack.
             raise ValueError(f"bad code descriptor: {exc}") from None
     elif ns.kernel and ns.depth is not None and ns.rate is not None:
         ns.info_k = None  # simulate has no --k

@@ -38,8 +38,8 @@ words once the root's masks are built, and a caller's words at once if they
 are passed as a temporary (from Python 3.11; before it, a call holds its
 arguments until it returns). A node's second mask is built in its own
 messages, its partial re-encoding is allocated once its first child
-returns, and the decisions and flags once the root's masks are built (a
-root that is a leaf allocates them just before it writes). So
+returns, and the decisions and flags by the first leaf that writes them,
+whatever the root (an empty batch takes the same path). So
 `sim._decode_flagged`, which also holds the frames' inputs packed, peaks at
 a level-1 node, at 3.6-4.5 bytes per symbol (B * N) for G_e and G_3: the
 outputs, the root's three packed words per kernel operation (3/l per
@@ -78,7 +78,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf2
-from .errors import DecodingIntegrityError, check_integer, check_unit_interval
+from .errors import DecodingIntegrityError, check_integer, check_invertible
+from .errors import check_unit_interval
 from .bec import _MAX_ORACLE_BLOCK, evolve_spectrum, select_information_set
 from .kernels import Kernel, check_size_budget, digit_reversal_permutation
 
@@ -114,14 +115,10 @@ def stride_permutation(N: int, l: int) -> np.ndarray:
     congruent to 0 mod l first, then 1 mod l, and so on, each class in
     ascending order.
     """
-    if l < 1 or N < 1 or N % l:
+    N, l = check_integer(N, "N", 1), check_integer(l, "l", 1)
+    if N % l:
         raise ValueError(f"stride permutation needs l | N, got N={N}, l={l}")
     return np.arange(N).reshape(N // l, l).T.reshape(N)
-
-
-def _require_invertible(kernel: Kernel) -> None:
-    if not kernel.invertible:
-        raise ValueError("polar codes require an invertible kernel")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,10 +136,11 @@ class PolarCode:
     design_eps: float = 0.5
 
     def __post_init__(self):
-        _require_invertible(self.kernel)
+        check_invertible(self.kernel)
         object.__setattr__(self, "depth", check_integer(self.depth, "depth"))
         n = check_size_budget(self.kernel.l, self.depth)
-        check_unit_interval(self.design_eps, "design erasure rate")
+        eps = check_unit_interval(self.design_eps, "design erasure rate")
+        object.__setattr__(self, "design_eps", eps)
         mask = gf2.as_bits(self.frozen_mask, 1)
         vals = gf2.as_bits(self.frozen_values, 1)
         if mask.shape[0] != n or vals.shape[0] != n:
@@ -179,7 +177,7 @@ class PolarCode:
 
         A singular kernel, and a K outside [0, N], are refused before the
         spectrum is evolved."""
-        _require_invertible(kernel)
+        check_invertible(kernel)
         depth = check_integer(depth, "depth")
         n = check_size_budget(kernel.l, depth)
         check_integer(K, "K", maximum=n)
@@ -242,7 +240,7 @@ class PolarCode:
             depth=d["depth"],
             frozen_mask=mask,
             frozen_values=vals,
-            design_eps=float(d["design_eps"]),
+            design_eps=d["design_eps"],
         )
 
 
@@ -367,19 +365,17 @@ def kernel_step_decide(k: Kernel, pos: int, prior, observed) -> Symbol:
     output.
     """
     l = k.l
-    if not 0 <= pos < l:
-        raise ValueError(f"position {pos} out of range for l={l}")
+    pos = check_integer(pos, "position", maximum=l - 1)
     prior = gf2.as_bits(prior, 1)
     if prior.shape[0] != pos:
         raise ValueError(f"expected {pos} prior bits, got {prior.shape[0]}")
     obs = np.asarray(observed)
     if obs.shape != (l,):
         raise ValueError(f"expected {l} observed symbols")
-    if not np.isin(obs, (0, 1, 2)).all():
-        raise ValueError("observed symbols must be 0, 1, or erased")
+    obs = _symbols(obs)
     cols = np.flatnonzero(obs != Symbol.ERASED)
     contrib = (prior @ k.matrix[:pos, cols]) % 2 if pos else np.zeros(len(cols))
-    residual = (obs[cols].astype(np.uint8) ^ contrib.astype(np.uint8)) & 1
+    residual = (obs[cols] ^ contrib.astype(np.uint8)) & 1
     a = k.matrix[pos:, cols]
     # Consistency: the residual must lie in the row space of `a`.
     if gf2.solve(a.T, residual) is None:
@@ -519,8 +515,6 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"expected shape (B, {code.N}), got {ys.shape}")
     ys = _symbols(ys)
     l, batch = code.kernel.l, ys.shape[0]
-    if not batch:
-        return np.zeros((0, code.N), np.uint8), np.zeros((0, code.N), np.uint8)
     plan = _node_plan(code)
     # Child tables over (l + 1)-bit values: lamx[t, kappa] is LAM where u_t
     # is determined and bit l alone where it is not; par maps a value to the
@@ -540,11 +534,11 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     poison = np.zeros(batch, dtype=bool)
 
     def allocate() -> None:
-        """The outputs, allocated by the root: a leaf root before it writes,
-        any other root once its masks are built and its words freed."""
+        """The outputs, allocated by the first leaf that writes them."""
         nonlocal u_hat, flags
-        u_hat = np.empty((batch, code.N), dtype=np.uint8)
-        flags = np.zeros((batch, code.N), dtype=np.uint8)
+        if u_hat is None:
+            u_hat = np.empty((batch, code.N), dtype=np.uint8)
+            flags = np.zeros((batch, code.N), dtype=np.uint8)
 
     def pack(bits: np.ndarray) -> np.ndarray:
         """Column masks of (B, l, m/l) bools: bit c of entry (b, j) is
@@ -565,15 +559,13 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
         m = msg.shape[1]
         if plan.rate0[k][lo // m]:
             # Rate-0 subtree: the decisions are the frozen values.
-            if not k:
-                allocate()
+            allocate()
             enc = plan.encoded[lo : lo + m]
             u_hat[:, lo : lo + m] = values[lo : lo + m]
             poison |= ((msg <= 1) & (msg != enc)).any(axis=1)
             return enc
         if m == 1:
-            if not k:
-                allocate()
+            allocate()
             bit = msg[:, 0]
             flag = poison | (bit > 1)
             u_hat[:, lo] = np.where(flag, 0, bit)
@@ -588,8 +580,7 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
             cols = np.flatnonzero(frozen[lo : lo + m])
             clash = (decided[:, cols] != values[lo + cols]).any(axis=1)
             if not (clash & ~poison).any():
-                if not k:
-                    allocate()
+                allocate()
                 decided[poison] = values[lo : lo + m]
                 u_hat[:, lo : lo + m] = decided
                 flags[poison, lo : lo + m] = ~frozen[lo : lo + m]
@@ -604,8 +595,6 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
         # run: each child's messages, and what it returns, are temporaries
         # of the calls below.
         del v, msg
-        if not k:
-            allocate()
         # Child 0 reads the observations alone, and `prior` is allocated only
         # once it returns (arguments are evaluated in order); a rate-0 child
         # returns one row, which broadcasts into it.

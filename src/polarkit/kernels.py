@@ -18,6 +18,7 @@ import numpy as np
 
 from . import gf2
 from .errors import BudgetExceededError, KernelFormatError, check_integer
+from .errors import check_invertible
 
 #: most span members the partial-distance search enumerates: the span of a
 #: kernel's later rows has 2^(l-1) members, so kernels up to 20x20
@@ -77,7 +78,7 @@ class Kernel:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Kernel":
         k = parse_kernel(",".join(d["rows"]))
-        if k.l != d.get("l", k.l):
+        if k.l != check_integer(d.get("l", k.l), "kernel 'l' field"):
             raise KernelFormatError("kernel 'l' field does not match its rows")
         return k
 
@@ -156,14 +157,6 @@ def batch_exponents(rows, l: int) -> np.ndarray:
     return exps
 
 
-def _require_invertible(k: Kernel) -> None:
-    if not k.invertible:
-        raise ValueError(
-            "partial distances are ill-defined for singular kernels "
-            "(some row lies in the span of the later rows, giving d_i = 0)"
-        )
-
-
 def partial_distances(k: Kernel) -> PartialDistances:
     """Partial distances of an invertible kernel and its rate exponent.
 
@@ -172,7 +165,7 @@ def partial_distances(k: Kernel) -> PartialDistances:
     exponent is (1/l) * sum_i log_l(d_i). A batch of one of `batch_distances`
     and `batch_exponents`.
     """
-    _require_invertible(k)
+    check_invertible(k)
     rows = [k.row_bits()]
     d = tuple(batch_distances(rows, k.l)[0].tolist())
     return PartialDistances(d=d, exponent=float(batch_exponents(rows, k.l)[0]))
@@ -191,7 +184,7 @@ def rate_exponent_table(family: Sequence[Kernel]) -> list[tuple[Kernel, float]]:
     if any(k.l != l for k in kernels):
         raise ValueError("kernel family mixes sizes")
     for k in kernels:
-        _require_invertible(k)
+        check_invertible(k)
     exps = batch_exponents([k.row_bits() for k in kernels], l).tolist()
     return list(zip(kernels, exps))
 

@@ -104,9 +104,10 @@ class BecChannel:
     trial_index: int = 0
 
     def __post_init__(self):
-        check_unit_interval(self.eps, "erasure probability")
+        eps = check_unit_interval(self.eps, "erasure probability")
         seed = check_key_word(self.master_seed, "master seed")
         trial = check_key_word(self.trial_index, "trial index")
+        object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "master_seed", seed)
         object.__setattr__(self, "trial_index", trial)
 
@@ -438,7 +439,7 @@ def run_monte_carlo(
     min_frame_errors-th frame error. Results are byte-identical for identical
     (code, eps, stop, master_seed) regardless of chunk size or decode budget.
     """
-    check_unit_interval(eps, "erasure probability")
+    eps = check_unit_interval(eps, "erasure probability")
     master_seed = check_key_word(master_seed, "master seed")
     n, plan = code.N, _node_plan(code)
     n64 = -(-n // 64)

@@ -26,8 +26,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import gf2
-from .bec import _normalisable, one_step_profile
-from .errors import check_integer
+from .bec import one_step_profile
+from .errors import check_design_rate, check_integer
 from .ioutil import atomic_write_text
 from .kernels import Kernel, check_size_budget, family_rows, row_descriptors
 
@@ -45,6 +45,7 @@ CURVE_TOL = 1e-12
 #: between the first and the final depth
 POLARISING_MARGIN = 1e-9
 
+#: largest final-level spectrum l^depth a survey's distance curves evolve
 _MAX_SPECTRUM = 1 << 20
 
 #: survey members per block of the CSV export; bounds its temporaries
@@ -142,21 +143,10 @@ def invertible_summary(records: Sequence[GroupRecord]) -> FamilySummary:
     )
 
 
-def _check_curve_args(eps0: float, depth: int, min_depth: int) -> int:
-    """Refuse a design rate outside (0, 1], NaN included, one whose square
-    (the curves' normalisation) is not a normal float, or a depth that is
-    not an integer of at least `min_depth`; returns the depth as an int."""
-    if not 0.0 < eps0 <= 1.0 or not _normalisable(eps0):
-        raise ValueError(
-            f"design erasure rate {eps0} not in (0, 1] or squares to 0 or to a "
-            "subnormal float"
-        )
-    return check_integer(depth, "depth", min_depth)
-
-
 def signature(k: Kernel, eps0: float, depth: int) -> Signature:
     """Signature of one kernel: a batch of one of the survey's curves."""
-    depth = _check_curve_args(eps0, depth, 0)
+    eps0 = check_design_rate(eps0, "design erasure rate")
+    depth = check_integer(depth, "depth")
     check_size_budget(k.l, depth, _MAX_SPECTRUM)
     profile = one_step_profile(k)
     curve = _batch_curves(np.array([profile.counts]), eps0, depth)[0]
@@ -225,7 +215,8 @@ def group_survey(family: Iterable[Kernel], eps0: float, depth: int) -> list[Grou
     final depth sits below its depth-1 value by more than 1e-9. `eps0` must
     lie in (0, 1] and `depth` be at least 1.
     """
-    depth = _check_curve_args(eps0, depth, 1)
+    eps0 = check_design_rate(eps0, "design erasure rate")
+    depth = check_integer(depth, "depth", 1)
     kernels = list(family)
     if not kernels:
         raise ValueError("kernel family is empty")
@@ -238,7 +229,8 @@ def group_survey(family: Iterable[Kernel], eps0: float, depth: int) -> list[Grou
 def survey_family(l: int, family: str, eps0: float, depth: int) -> list[GroupRecord]:
     """`group_survey` over a whole `family_rows` family, without building a
     Kernel per member."""
-    depth = _check_curve_args(eps0, depth, 1)
+    eps0 = check_design_rate(eps0, "design erasure rate")
+    depth = check_integer(depth, "depth", 1)
     return _group_rows(family_rows(l, family), l, eps0, depth)
 
 

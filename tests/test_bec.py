@@ -242,9 +242,14 @@ def test_oracle_budget():
         exhaustive_split_oracle(G2, 4, 0.5, 0)
 
 
-@pytest.mark.parametrize("i", [-1, 4])
-def test_oracle_refuses_a_channel_index_outside_the_block(i):
-    with pytest.raises(ValueError, match=f"channel index {i} out of range for N=4"):
+@pytest.mark.parametrize(
+    "i,message",
+    [(-1, "channel index must be >= 0, got -1"),
+     (4, r"channel index must be in \[0, 3\], got 4")],
+    ids=["-1", "4"],
+)
+def test_oracle_refuses_a_channel_index_outside_the_block(i, message):
+    with pytest.raises(ValueError, match=message):
         exhaustive_split_oracle(G2, 2, 0.5, i)
 
 

@@ -222,6 +222,24 @@ def test_malformed_code_descriptor_exits_2(tmp_path, capsys, changes):
     assert capsys.readouterr().err.startswith("error: bad code descriptor")
 
 
+@pytest.mark.parametrize("design_eps", ["0.5", True], ids=["string", "true"])
+def test_code_descriptor_with_a_non_number_design_rate_exits_2(
+    tmp_path, capsys, design_eps
+):
+    # Both loaded as rates: float("0.5") is 0.5 and float(True) is 1.0.
+    path = _write_code(tmp_path, design_eps=design_eps)
+    out = tmp_path / "sim.csv"
+    capsys.readouterr()
+    assert run(["simulate", "--code", str(path), "--eps", "0.5",
+                "--max-trials", "10", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [
+        "error: bad code descriptor: design erasure rate must be a number, "
+        f"got {design_eps!r}"
+    ]
+
+
 def test_deeply_nested_code_file_exits_2(tmp_path, capsys):
     # json.load recurses once per array level and runs out of stack
     path = tmp_path / "code.json"
@@ -296,7 +314,7 @@ def test_simulate_seed_at_either_end_of_range_runs(tmp_path, seed):
 @pytest.mark.parametrize(
     "field,literal,message",
     [
-        ("design_eps", '"nan"', "design erasure rate must be in [0, 1], got nan"),
+        ("design_eps", '"nan"', "design erasure rate must be a number, got 'nan'"),
         ("design_eps", "NaN", "design erasure rate must be in [0, 1], got nan"),
         ("design_eps", "1.5", "design erasure rate must be in [0, 1], got 1.5"),
         ("depth", "1" + "0" * 30, "exceeds the spectrum budget"),

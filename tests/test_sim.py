@@ -461,7 +461,7 @@ def test_flagged_decode_peak_memory_per_symbol(kernel, depth, k, frames, bound):
     # Measured in bytes per symbol (G_3 at N = 729 with 252 frames, G_e at
     # N = 256 with 1,826): 4.19 and 3.64. The inputs are held packed, the
     # encoder's spare buffer takes its transpose, the outputs are allocated
-    # once the root's masks are built, the second mask overwrites the node's
+    # by the first leaf that writes them, the second mask overwrites the node's
     # messages and a node's prior waits for its first child, so the peak
     # falls at a level-1 node's mask build. With full inputs, the outputs
     # allocated first and a fresh bool array per second mask the same
