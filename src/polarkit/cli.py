@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Subcommands: analyze, survey, exponent, bound, construct, simulate,
-oracle-check. Every option is validated before any computation starts; file
-outputs are written atomically. Exit codes: 0 success; 3 for a budget,
-memory or I/O failure (BudgetExceededError, MemoryError, OSError) and a
-failed oracle check; 2 for any other ValueError, each of which refuses bad
-input. Relative output paths resolve under $POLARKIT_OUT_DIR when it is set;
-input paths (`simulate --code`) are read as given.
+oracle-check. Every option is validated before any computation starts, and
+an option that would be silently ignored next to another is refused
+(`simulate --code` with the inline construction, `exponent --kernel` with
+`--size`); file outputs are written atomically. Exit codes: 0 success; 3
+for a budget, memory or I/O failure (BudgetExceededError, MemoryError,
+OSError) and a failed oracle check; 2 for any other ValueError, each of
+which refuses bad input. Relative output paths resolve under
+$POLARKIT_OUT_DIR when it is set; input paths (`simulate --code`) are read
+as given.
 """
 
 from __future__ import annotations
@@ -100,7 +103,7 @@ def parse_args(argv) -> argparse.Namespace:
     p.add_argument("--kernel", help="inline construction instead of --code")
     p.add_argument("--depth", type=int)
     p.add_argument("--rate", type=float)
-    p.add_argument("--design-eps", type=float, default=0.5)
+    p.add_argument("--design-eps", type=float, help="default: 0.5")
     p.add_argument("--eps", required=True, help="channel rates, comma-separated")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--min-frame-errors", type=int, default=100)
@@ -168,6 +171,8 @@ def _cmd_survey(ns) -> int:
 
 
 def _cmd_exponent(ns) -> int:
+    if ns.kernel and ns.size is not None:
+        raise ValueError("--kernel and --size are mutually exclusive")
     if ns.kernel:
         kernels = [parse_kernel(text) for text in ns.kernel]
         batches = [([k.descriptor()], [k.row_bits()], k.l) for k in kernels]
@@ -245,6 +250,11 @@ def _json_int(text: str) -> int:
 
 
 def _cmd_simulate(ns) -> int:
+    inline = {"--kernel": ns.kernel, "--depth": ns.depth, "--rate": ns.rate,
+              "--design-eps": ns.design_eps}
+    given = [option for option, value in inline.items() if value is not None]
+    if ns.code is not None and given:
+        raise ValueError(f"--code and {given[0]} are mutually exclusive")
     check_key_word(ns.seed, "--seed")
     if ns.code:
         try:
@@ -258,7 +268,8 @@ def _cmd_simulate(ns) -> int:
             raise ValueError(f"bad code descriptor: {exc}") from None
     elif ns.kernel and ns.depth is not None and ns.rate is not None:
         ns.info_k = None  # simulate has no --k
-        code = _construct_code(ns, ns.design_eps, "--design-eps")
+        design_eps = 0.5 if ns.design_eps is None else ns.design_eps
+        code = _construct_code(ns, design_eps, "--design-eps")
     else:
         raise ValueError("provide --code, or --kernel with --depth and --rate")
     eps_list = _rates(ns.eps, "--eps")

@@ -330,24 +330,30 @@ def _round_tables(kernel: Kernel):
       DET[t, kappa]   -- is u_t determined?
       LAM[t, kappa]   -- column mask whose residual parity gives the value
 
-    u_t is determined iff row t, masked to kappa, lies outside the span of
-    the masked rows below it: one `gf2.bottom_up_reduce` with every mask as
-    a lane. LAM, the `gf2.solve` solution with free variables zero, is
-    solved only where DET holds and is 0 elsewhere.
+    Both come from one `gf2.bottom_up_reduce`, with every (t, kappa) as a
+    lane. Each column c in kappa, cut to rows t..l-1, is shifted above a tag
+    bit c of its own, and the target e_t is reduced modulo those columns.
+    The result is the least member of the target's coset: a bare tag exactly
+    when e_t lies in the columns' span, i.e. when u_t is determined. The tag
+    then marks columns that sum to e_t, with every free column (one in the
+    span of lower-indexed columns) left out, since a free column and lower
+    ones sum to a bare tag led by its own bit: `gf2.solve`'s solution with
+    free variables zero. LAM is 0 where DET fails.
 
     The returned arrays are immutable and shared between concurrent decodes.
     """
     l = kernel.l
     check_size_budget(2, l, _MAX_TABLE_MASKS, "decoding-table mask")
-    m = kernel.matrix
-    masks = np.arange(1 << l, dtype=np.uint16)
-    rows = np.array(kernel.row_bits(), dtype=np.uint16)
-    det = gf2.bottom_up_reduce(rows[:, None] & masks) != 0
-    lam = np.zeros((l, 1 << l), dtype=np.uint32)
-    for t, kappa in zip(*np.nonzero(det)):
-        cols = [c for c in range(l) if (kappa >> c) & 1]
-        sol = gf2.solve(m[t:, cols], np.eye(1, l - t, dtype=np.uint8)[0])
-        lam[t, kappa] = sum(1 << c for c, x in zip(cols, sol) if x)
+    idx = np.arange(l, dtype=np.uint32)
+    cols = (1 << idx) @ kernel.matrix  # column c, row i at bit i
+    # axes (c, t): column c of rows t..l-1 (row i at bit l + i - t), tag bit c
+    tagged = (cols[:, None] >> idx) << l | (1 << idx[:, None])
+    known = (np.arange(1 << l, dtype=np.uint32) >> idx[:, None, None]) & 1
+    # lanes (t, kappa); on top, the target e_t, at bit l for every t
+    rows = np.insert(tagged[:, :, None] * known, 0, 1 << l, axis=0)
+    out = gf2.bottom_up_reduce(rows)[0]
+    det = out < (1 << l)
+    lam = np.where(det, out, 0).astype(np.uint32)
     for arr in (det, lam):
         arr.setflags(write=False)
     return det, lam

@@ -1,8 +1,13 @@
-"""Dense GF(2) linear algebra on numpy 0/1 arrays.
+"""GF(2) linear algebra on numpy 0/1 arrays and on packed rows.
 
-The matrix routines take binary matrices/vectors (any dtype, entries 0 or
-1); `bottom_up_reduce` and `packed_rank` take rows packed into
-non-negative integers, one bit per column. No routine mutates its arguments.
+`bottom_up_reduce` is the library's elimination routine, with many
+systems at once as lanes: it builds the decoder's decision tables
+(`codec._round_tables`), the kernels' count tables (`bec.batch_profiles`)
+and the survey's row-canonical forms. It and `packed_rank` take rows packed
+into non-negative integers, one bit per column. The dense routines (`rank`,
+`in_span`, `solve`) take binary matrices/vectors (any dtype, entries 0 or
+1); they serve the tests as an independent reference, `_node_plan`'s
+inverse kernel and `kernel_step_decide`. No routine mutates its arguments.
 """
 
 from __future__ import annotations

@@ -9,6 +9,11 @@ from pathlib import Path
 #: characters per write; the encoder never holds more than one slice's bytes
 _WRITE_SLICE = 1 << 20
 
+#: the process umask, read once at import: os.umask can read it only by
+#: setting it, which must not happen while other threads create files
+_UMASK = os.umask(0o077)
+os.umask(_UMASK)
+
 
 def atomic_write_text(path, text: str) -> Path:
     """Write `text` to `path` via a temp file and rename.
@@ -16,7 +21,8 @@ def atomic_write_text(path, text: str) -> Path:
     Interrupted runs never leave a truncated file behind. I/O failures are
     re-raised with the destination path in the message. The text is written
     in slices of _WRITE_SLICE characters, so encoding it never makes a second
-    full-size copy.
+    full-size copy. The file gets the mode a plain `open` would give it,
+    0o666 less the umask, rather than the temp file's 0o600.
     """
     target = Path(path)
     try:
@@ -26,6 +32,7 @@ def atomic_write_text(path, text: str) -> Path:
             with os.fdopen(fd, "w") as fh:
                 for i in range(0, len(text), _WRITE_SLICE):
                     fh.write(text[i : i + _WRITE_SLICE])
+            os.chmod(tmp, 0o666 & ~_UMASK)
             os.replace(tmp, target)
         except BaseException:
             try:

@@ -556,3 +556,38 @@ def test_library_exception_type_sets_the_exit_code(monkeypatch, capsys, error, c
     monkeypatch.setattr(bec, "evolve_spectrum", refuse)
     assert run(["analyze", "--kernel", "10,11", "--depth", "2"]) == code
     assert capsys.readouterr().err == "error: refused by the library\n"
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [(["--kernel", "10,11", "--depth", "3", "--rate", "0.5"], "--kernel"),
+     (["--depth", "3"], "--depth"),
+     (["--design-eps", "0.3"], "--design-eps")],
+    ids=["inline_construction", "depth", "design_eps"],
+)
+def test_simulate_refuses_a_code_file_with_an_inline_construction(
+    tmp_path, capsys, extra, named
+):
+    path = _write_code(tmp_path)
+    out = tmp_path / "sim.csv"
+    capsys.readouterr()
+    assert run(["simulate", "--code", str(path), *extra, "--eps", "0.5",
+                "--max-trials", "10", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.splitlines() == [f"error: --code and {named} are mutually exclusive"]
+
+
+def test_exponent_refuses_a_kernel_with_a_size(capsys):
+    assert run(["exponent", "--kernel", "100,110,011", "--size", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --kernel and --size are mutually exclusive"]
+
+
+def test_simulate_design_eps_defaults_to_one_half(capsys):
+    argv = ["simulate", "--kernel", "10,11", "--depth", "3", "--rate", "0.5",
+            "--eps", "0.5", "--max-trials", "10"]
+    assert run(argv) == run(argv + ["--design-eps", "0.5"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second and "design_eps=0.5 " in first

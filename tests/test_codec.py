@@ -679,8 +679,10 @@ def test_genie_flags_match_det_table_on_every_known_set():
 
 def test_decision_tables_match_gf2_solve_entry_by_entry():
     # An independent reference for DET and LAM: one gf2.solve of
-    # m[t:, cols] x = e_0 per (position, known mask), on every 3x3 kernel and
-    # on random kernels of sizes 4..7, singular ones included.
+    # m[t:, cols] x = e_0 per (position, known mask), on every 3x3 kernel, on
+    # random kernels of sizes 4..7, singular ones included, and on kernels of
+    # the decoder's uint16 tables (l >= 8): a singular and an invertible 8x8
+    # and an invertible 12x12, whose tables hold the widest tagged values.
     from polarkit import Kernel, gf2
     from polarkit.codec import _round_tables
 
@@ -694,6 +696,9 @@ def test_decision_tables_match_gf2_solve_entry_by_entry():
         for l in (4, 5, 6, 7)
         for _ in range(2)
     ]
+    singular = rng.integers(0, 2, (8, 8), dtype=np.uint8)
+    singular[7] = singular[0] ^ singular[1]
+    kernels += [Kernel(singular), *random_invertible_kernels(23, [8, 12])]
     for kernel in kernels:
         l, m, desc = kernel.l, kernel.matrix, kernel.descriptor()
         rows = np.array(kernel.row_bits())

@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,3 +70,25 @@ def test_atomic_write_text_keeps_the_write_error_when_clean_up_fails(
     assert target.read_bytes() == b"old contents"
     (left,) = removed
     assert sorted(os.listdir(tmp_path)) == sorted(["out.csv", os.path.basename(left)])
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o077], ids=["022", "027", "077"])
+def test_atomic_write_text_gives_the_mode_of_a_plain_file(tmp_path, umask):
+    # In a child started under `umask`, since the module reads it at import:
+    # the written file's mode equals that of a file made by open().
+    script = (
+        "import os, sys\n"
+        "from polarkit.ioutil import atomic_write_text\n"
+        "atomic_write_text(sys.argv[1], 'x')\n"
+        "open(sys.argv[2], 'w').close()\n"
+        "print(oct(os.stat(sys.argv[1]).st_mode & 0o777),"
+        " oct(os.stat(sys.argv[2]).st_mode & 0o777))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ioutil.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "atomic"), str(tmp_path / "plain")],
+        env=env, umask=umask, capture_output=True, text=True, timeout=60, check=True,
+    )
+    want = oct(0o666 & ~umask)
+    assert done.stdout.split() == [want, want]
