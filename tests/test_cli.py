@@ -575,14 +575,18 @@ def test_simulate_refuses_a_code_file_with_an_inline_construction(
                 "--max-trials", "10", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert captured.err.splitlines() == [f"error: --code and {named} are mutually exclusive"]
+    assert captured.err.splitlines() == [
+        f"error: --code and {named} are mutually exclusive"
+    ]
 
 
 def test_exponent_refuses_a_kernel_with_a_size(capsys):
     assert run(["exponent", "--kernel", "100,110,011", "--size", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == ["error: --kernel and --size are mutually exclusive"]
+    assert captured.err.splitlines() == [
+        "error: --kernel and --size are mutually exclusive"
+    ]
 
 
 def test_simulate_design_eps_defaults_to_one_half(capsys):
