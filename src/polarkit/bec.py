@@ -25,6 +25,7 @@ import numpy as np
 
 from . import gf2
 from .errors import check_design_rate, check_integer, check_unit_interval
+from .ioutil import _CSV_BLOCK, concat_text
 from .kernels import Kernel, check_size_budget, reference_generator
 
 #: most erasure patterns a count table enumerates: 2^l, so kernels up to 20x20
@@ -36,6 +37,9 @@ _BLOCK_LANES = 1 << 15
 #: channel values per block of the distance-curve evolution (at least one
 #: table per block)
 _CURVE_VALUES = 1 << 16
+#: parent channel values per block of a spectrum level; bounds the
+#: temporaries of `bernstein_eval`
+_SPECTRUM_PARENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -157,15 +161,21 @@ def _spectrum_levels(counts: np.ndarray, eps0: float, depth: int):
     Yields the (M, l**d) spectra for d = 1..depth. Starting from [eps0],
     every channel value z spawns l children (Z_0(z), ..., Z_{l-1}(z)) in index
     order, so child t of parent j lands at index l*j + t on the next level.
+    Each level is one array, written in blocks of _SPECTRUM_PARENTS parents
+    and clipped to [0, 1] in place.
     """
     m_count, l = counts.shape[0], counts.shape[1]
     coeffs = counts.astype(np.float64)
     z = np.full((m_count, 1), eps0)
     for _ in range(depth):
         children = np.empty((m_count, z.shape[1], l))
-        for t in range(l):
-            children[:, :, t] = bernstein_eval(coeffs[:, t, None, :], z)
-        z = np.clip(children.reshape(m_count, -1), 0.0, 1.0)
+        for p0 in range(0, z.shape[1], _SPECTRUM_PARENTS):
+            block = slice(p0, p0 + _SPECTRUM_PARENTS)
+            for t in range(l):
+                coeff = coeffs[:, t, None, :]
+                children[:, block, t] = bernstein_eval(coeff, z[:, block])
+        z = children.reshape(m_count, -1)
+        np.clip(z, 0.0, 1.0, out=z)
         yield z
 
 
@@ -253,11 +263,20 @@ def bound_curve(s: Spectrum, rates) -> list[tuple[float, int, float]]:
 
 
 def spectrum_csv_text(s: Spectrum) -> str:
-    """Spectrum CSV: index,erasure_prob,capacity (capacity = 1 - erasure)."""
-    lines = ["index,erasure_prob,capacity"]
-    for i, z in enumerate(s.z):
-        lines.append(f"{i},{z:.12g},{1.0 - z:.12g}")
-    return "\n".join(lines) + "\n"
+    """Spectrum CSV: index,erasure_prob,capacity (capacity = 1 - erasure).
+
+    The text is grown in place by `concat_text` from blocks of _CSV_BLOCK
+    lines, each formatted from a `tolist()` of its own slice of the spectrum,
+    so the text is held once and no list spans the spectrum.
+    """
+    return concat_text(_spectrum_csv_blocks(s.z))
+
+
+def _spectrum_csv_blocks(z: np.ndarray):
+    yield "index,erasure_prob,capacity\n"
+    for a in range(0, z.size, _CSV_BLOCK):
+        block = enumerate(z[a : a + _CSV_BLOCK].tolist(), a)
+        yield "".join([f"{i},{v:.12g},{1.0 - v:.12g}\n" for i, v in block])
 
 
 def bounds_csv_text(rows) -> str:

@@ -4,12 +4,12 @@ Subcommands: analyze, survey, exponent, bound, construct, simulate,
 oracle-check. Every option is validated before any computation starts, and
 an option that would be silently ignored next to another is refused
 (`simulate --code` with the inline construction, `exponent --kernel` with
-`--size`); file outputs are written atomically. Exit codes: 0 success; 3
-for a budget, memory or I/O failure (BudgetExceededError, MemoryError,
-OSError) and a failed oracle check; 2 for any other ValueError, each of
-which refuses bad input. Relative output paths resolve under
-$POLARKIT_OUT_DIR when it is set; input paths (`simulate --code`) are read
-as given.
+`--size` or `--family`); file outputs are written atomically. Exit codes: 0
+success; 3 for a budget, memory or I/O failure (BudgetExceededError,
+MemoryError, OSError) and a failed oracle check; 2 for any other
+ValueError, each of which refuses bad input. Relative output paths resolve
+under $POLARKIT_OUT_DIR when it is set; input paths (`simulate --code`) are
+read as given.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def parse_args(argv) -> argparse.Namespace:
     p.add_argument(
         "--family",
         choices=["all", "lower_triangular_unit_diagonal"],
-        default="lower_triangular_unit_diagonal",
+        help="with --size; default: lower_triangular_unit_diagonal",
     )
 
     p = sub.add_parser("bound", help="block-error union bounds over rates")
@@ -171,14 +171,16 @@ def _cmd_survey(ns) -> int:
 
 
 def _cmd_exponent(ns) -> int:
-    if ns.kernel and ns.size is not None:
-        raise ValueError("--kernel and --size are mutually exclusive")
+    given = [option for option, value in (("--size", ns.size), ("--family", ns.family))
+             if value is not None]
+    if ns.kernel and given:
+        raise ValueError(f"--kernel and {given[0]} are mutually exclusive")
     if ns.kernel:
         kernels = [parse_kernel(text) for text in ns.kernel]
         batches = [([k.descriptor()], [k.row_bits()], k.l) for k in kernels]
     elif ns.size is not None:
         check_integer(ns.size, "--size", 2)
-        rows = family_rows(ns.size, ns.family)
+        rows = family_rows(ns.size, ns.family or "lower_triangular_unit_diagonal")
         batches = [(row_descriptors(rows), rows, ns.size)]
     else:
         raise ValueError("provide --kernel or --size")

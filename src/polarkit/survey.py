@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from . import gf2
 from .bec import one_step_profile
 from .errors import check_design_rate, check_integer
-from .ioutil import atomic_write_text
+from .ioutil import _CSV_BLOCK, atomic_write_text, concat_text
 from .kernels import Kernel, check_size_budget, family_rows, row_descriptors
 
 # bench/tracing.py times the survey stages through these module names, and
@@ -47,9 +48,6 @@ POLARISING_MARGIN = 1e-9
 
 #: largest final-level spectrum l^depth a survey's distance curves evolve
 _MAX_SPECTRUM = 1 << 20
-
-#: survey members per block of the CSV export; bounds its temporaries
-_CSV_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -295,20 +293,25 @@ def _group_rows(rows: np.ndarray, l: int, eps0: float, depth: int) -> list[Group
 def survey_csv_text(records: Sequence[GroupRecord]) -> str:
     """The survey CSV: a header, then one line per member, groups in id order.
 
-    Each group's members are written in blocks of _CSV_BLOCK, so no list or
-    string spans the whole family: a line is the member's descriptor plus
-    one of its group's suffixes (group id, polarising flag, exponent and
-    curve), each formatted once per distinct exponent (NaN, the singular
-    kernels, gives an empty cell).
+    The text is grown in place by `concat_text` from blocks of _CSV_BLOCK
+    members, so it is held once and no list spans the family. A line is the
+    member's descriptor followed by one of its group's suffixes (group id,
+    polarising flag, exponent and curve), each formatted once per distinct
+    exponent (NaN, the singular kernels, gives an empty cell); a block joins
+    the descriptors and shared suffixes directly, without a string per line.
     """
     if not records:
         raise ValueError("no survey records to export")
+    return concat_text(_csv_blocks(records))
+
+
+def _csv_blocks(records: Sequence[GroupRecord]):
     depth = len(records[0].distance_curve)
-    blocks = [
+    yield (
         "kernel_rows,group_id,polarising,exponent,"
         + ",".join(f"d{i}" for i in range(1, depth + 1))
         + "\n"
-    ]
+    )
     for rec in records:
         middle = f",{rec.group_id},{int(rec.polarising)},"
         curve = "," + ",".join(f"{v:.12g}" for v in rec.distance_curve) + "\n"
@@ -320,9 +323,8 @@ def survey_csv_text(records: Sequence[GroupRecord]) -> str:
         for a in range(0, rec.member_count, _CSV_BLOCK):
             b = a + _CSV_BLOCK
             names = row_descriptors(rec.member_rows[a:b], sep=";")
-            lines = zip(names, which[a:b].tolist())
-            blocks.append("".join([name + suffix[i] for name, i in lines]))
-    return "".join(blocks)
+            suffixes = map(suffix.__getitem__, which[a:b].tolist())
+            yield "".join(chain.from_iterable(zip(names, suffixes)))
 
 
 def export_survey(records: Sequence[GroupRecord], destination) -> None:

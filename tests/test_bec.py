@@ -20,7 +20,8 @@ from polarkit import (
     polarisation_distance,
     select_information_set,
 )
-from polarkit.bec import Spectrum, batch_curves, batch_profiles
+from polarkit import bec as bec_module
+from polarkit.bec import Spectrum, batch_curves, batch_profiles, spectrum_csv_text
 from polarkit.kernels import family_rows
 
 G2 = parse_kernel("10,11")
@@ -478,6 +479,28 @@ def test_spectrum_csv_header_and_identity():
     for line in lines[1:]:
         _, z, cap = line.split(",")
         assert float(z) + float(cap) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spectrum_csv_is_built_in_place():
+    # A whole-spectrum list of lines and its join hold several copies of the
+    # text; blocks appended in place hold it once, plus one block.
+    spectrum = evolve_spectrum(G2, 0.5, 18)
+    tracemalloc.start()
+    try:
+        text = spectrum_csv_text(spectrum)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text.splitlines()) == (1 << 18) + 1
+    assert peak - len(text) < 2 << 20
+
+
+@pytest.mark.parametrize("kernel,depth", [(G2, 9), (GE, 5)], ids=["G2", "Ge"])
+def test_spectrum_levels_in_blocks_equal_whole_levels(monkeypatch, kernel, depth):
+    # Blocks of 7 parents end inside every level past the second.
+    whole = evolve_spectrum(kernel, 0.3, depth).z
+    monkeypatch.setattr(bec_module, "_SPECTRUM_PARENTS", 7)
+    assert np.array_equal(evolve_spectrum(kernel, 0.3, depth).z, whole)
 
 
 def test_spectrum_depth_must_be_an_integer():

@@ -589,6 +589,25 @@ def test_exponent_refuses_a_kernel_with_a_size(capsys):
     ]
 
 
+@pytest.mark.parametrize("family", ["all", "lower_triangular_unit_diagonal"])
+def test_exponent_refuses_a_kernel_with_a_family(capsys, family):
+    assert run(["exponent", "--kernel", "100,110,011", "--family", family]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: --kernel and --family are mutually exclusive"
+    ]
+
+
+def test_exponent_family_defaults_to_lower_triangular(capsys):
+    assert run(["exponent", "--size", "3"]) == 0
+    default = capsys.readouterr().out
+    assert run(["exponent", "--size", "3", "--family",
+                "lower_triangular_unit_diagonal"]) == 0
+    assert capsys.readouterr().out == default
+    assert len(default.splitlines()) == 8
+
+
 def test_simulate_design_eps_defaults_to_one_half(capsys):
     argv = ["simulate", "--kernel", "10,11", "--depth", "3", "--rate", "0.5",
             "--eps", "0.5", "--max-trials", "10"]
