@@ -242,8 +242,17 @@ def select_information_set(s: Spectrum, K: int) -> np.ndarray:
     index.
     """
     K = check_integer(K, "K", maximum=s.size)
-    order = np.argsort(s.z, kind="stable")
-    return np.sort(order[:K])
+    return np.flatnonzero(next(_information_masks(s, [K])))
+
+
+def _information_masks(s: Spectrum, ks):
+    """Masks of `select_information_set` for each K of `ks`, from one sort,
+    held as int32 (N <= 2^24) while the caller reads each mask."""
+    order = np.argsort(s.z, kind="stable").astype(np.int32)
+    for k in ks:
+        mask = np.zeros(s.size, dtype=bool)
+        mask[order[:k]] = True
+        yield mask
 
 
 def bler_upper_bound(s: Spectrum, K: int) -> float:
@@ -254,12 +263,10 @@ def bler_upper_bound(s: Spectrum, K: int) -> float:
 
 def bound_curve(s: Spectrum, rates) -> list[tuple[float, int, float]]:
     """(rate, K, union bound) rows with K = round(rate * N)."""
-    rows = []
-    for rate in rates:
-        rate = check_unit_interval(rate, "rate")
-        k_info = round(rate * s.size)
-        rows.append((rate, k_info, bler_upper_bound(s, k_info)))
-    return rows
+    rates = [check_unit_interval(rate, "rate") for rate in rates]
+    ks = [round(rate * s.size) for rate in rates]
+    masks = _information_masks(s, ks)
+    return [(r, k, float(s.z[m].sum())) for r, k, m in zip(rates, ks, masks)]
 
 
 def spectrum_csv_text(s: Spectrum) -> str:

@@ -4,7 +4,12 @@ The transform of depth n is the plain Kronecker power G^(x n) of the kernel
 with its output positions digit-reversed (equivalently, the kernel applied to
 consecutive blocks of l inputs at every level, followed by the stride
 permutation). The encoder multiplies by G^(x n) one base-l digit of the index
-at a time and then reverses the digits of the positions.
+at a time and then reverses the digits of the positions with
+`_reverse_digits`, the codec's one digit reversal, which builds no index array.
+The encoder and the decoder's root lay words out frames fastest, as the
+transpose of a C-ordered (N, B) array: the decoder's reductions over a node's
+columns (the masks' sums, `known.all`) are fast only so. C-ordered (B, N)
+roots decoded flagged batches 1.4x slower.
 
 The SC decoder digit-reverses the received word once, which turns the code
 into the plain Kronecker power z = u G^(x n), and then follows Arıkan's block
@@ -30,10 +35,10 @@ descending only the frames with an erased message measured slower.
 A node packs the l message columns of each kernel operation into words in
 the narrowest dtype that holds l + 1 bits (uint8 for l < 8, uint16 up to
 l = 12), and each child message is one gather from two per-kernel tables.
-A decode of B words of length N holds its decisions and flags (2 bytes per
-symbol) and, at each open node, the node's two masks and its children's
-partial re-encoding, about 3/(l - 1) packed words per symbol over all open
-levels. Words, messages and bools are freed once read: the digit-reversed
+An encode of B frames holds two (B, N) arrays. A decode of B words of
+length N holds its decisions and flags (2 bytes per symbol) and, at each
+open node, the node's two masks and its children's partial re-encoding,
+about 3/(l - 1) packed words per symbol over all open levels. Words, messages and bools are freed once read: the digit-reversed
 words once the root's masks are built, and a caller's words at once if they
 are passed as a temporary (from Python 3.11; before it, a call holds its
 arguments until it returns). A node's second mask is built in its own
@@ -81,7 +86,7 @@ from . import gf2
 from .errors import DecodingIntegrityError, check_integer, check_invertible
 from .errors import check_unit_interval
 from .bec import _MAX_ORACLE_BLOCK, evolve_spectrum, select_information_set
-from .kernels import Kernel, check_size_budget, digit_reversal_permutation
+from .kernels import Kernel, check_size_budget
 
 
 class Symbol(IntEnum):
@@ -263,11 +268,11 @@ class DecodeResult:
 # encoding
 
 
-def _kron_encode(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _kron_encode(g: np.ndarray, u: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Rows of `u` times the plain Kronecker power of `g` over GF(2).
 
     `u` has shape (B, l^k); the kernel is applied along each base-l digit of
-    the column index in turn.
+    the column index in turn, then the positions digit-reversed if `reverse`.
     """
     l = g.shape[0]
     # A C-ordered copy, frames last: the reshapes below are views (the XORs
@@ -290,18 +295,29 @@ def _kron_encode(g: np.ndarray, u: np.ndarray) -> np.ndarray:
                 np.bitwise_xor(out, xb[:, r], out=out)
         x, y = y, x
         step *= l
-    # The spare buffer (the last round's source) takes the frames-first
-    # result, so the transpose adds no third (B, N) array.
+    # The spare buffer (the last round's source) takes the result, so the
+    # final copy adds no third (B, N) array.
+    if reverse:
+        return _reverse_digits(x, l, out=y).T
     out = y.reshape(u.shape)
     out[...] = x.T
     return out
 
 
+def _reverse_digits(a: np.ndarray, l: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The N = l^n rows of an (N, W) array in base-l digit-reversed order,
+    C-ordered: in the first N * W elements of the contiguous buffer `out`, if
+    given. Axis j of the (l,) * n + (W,) reshape holds digit j of the row."""
+    n = round(math.log(a.shape[0], l))
+    shape = (l,) * n + a.shape[1:]
+    out = np.empty(a.size, a.dtype) if out is None else out.reshape(-1)[: a.size]
+    out.reshape(shape)[...] = a.reshape(shape).transpose(*range(n - 1, -1, -1), n)
+    return out.reshape(a.shape)
+
+
 def _encode_batch(kernel: Kernel, bits: np.ndarray) -> np.ndarray:
-    """Encode a (B, N) batch of input rows; returns a (B, N) codeword batch."""
-    depth = round(math.log(bits.shape[1], kernel.l))
-    z = _kron_encode(kernel.matrix, bits)
-    return z[:, digit_reversal_permutation(kernel.l, depth)]
+    """Encode a (B, N) batch of input rows into codewords, frames fastest."""
+    return _kron_encode(kernel.matrix, bits, reverse=True)
 
 
 def encode(code: PolarCode, u) -> np.ndarray:
@@ -622,7 +638,7 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     # The root takes the only reference to the digit-reversed words, and
     # frees them once its masks are built; a caller that passes its words
     # as a temporary has them freed here.
-    words = [ys[:, digit_reversal_permutation(l, code.depth)]]
+    words = [_reverse_digits(ys.T, l).T]
     del ys
     try:
         rec(words.pop(), 0, 0)
@@ -706,10 +722,10 @@ def map_oracle_decode(code: PolarCode, y) -> DecodeResult:
 # column c of the node's S/l kernel operations is the contiguous block of
 # messages c*S/l..(c+1)*S/l-1, and child t receives output t of every
 # operation in the child's own digit-reversed order. One array operation
-# then runs over whole blocks. For planes one element wide the reversal is a
-# gather of single words that costs about as much as the whole screen, so
-# they keep input order, where operation b reads messages b*l..b*l+l-1.
-# Either way the size-1 nodes of the last level are in input order.
+# then runs over whole blocks. Planes one element wide keep input order,
+# where operation b reads messages b*l..b*l+l-1: their reversal copies single
+# words, at half the cost of a whole screen. Either way the size-1 nodes of
+# the last level are in input order.
 
 
 @functools.lru_cache(maxsize=128)
@@ -804,8 +820,7 @@ def _screen_levels(kernel: Kernel, levels, planes: np.ndarray):
     info_known = np.full(width, ~planes.dtype.type(0), dtype=planes.dtype)
     digit_reversed = width > 1
     if digit_reversed:
-        perm = digit_reversal_permutation(l, round(math.log(n, l)))
-        np.take(planes, perm, axis=0, out=dst.reshape(n, width), mode="clip")
+        _reverse_digits(planes, l, out=dst)
         src, dst = dst, src
     nodes, size = 1, n
     for level in levels:

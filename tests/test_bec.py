@@ -469,6 +469,26 @@ def test_bound_curve_rows():
         bound_curve(sp, [1.5])
 
 
+def test_bound_curve_sorts_once_for_eight_rates(monkeypatch):
+    from polarkit import bound_curve
+
+    # a quantised spectrum, so that many channels tie
+    sp = evolve_spectrum(GE, 0.5, 4)
+    sp = Spectrum(sp.kernel, sp.depth, np.round(sp.z, 2), sp.design_eps)
+    rates = [0.0, 0.1, 0.25, 1 / 3, 0.5, 0.6, 0.9, 1.0]
+    want = [(r, round(r * sp.size)) for r in rates]
+    want = [(r, k, bler_upper_bound(sp, k)) for r, k in want]
+    sorts, argsort = [], np.argsort
+
+    def counted(*args, **kwargs):
+        sorts.append(args)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    assert bound_curve(sp, rates) == want
+    assert len(sorts) == 1
+
+
 def test_spectrum_csv_header_and_identity():
     from polarkit import spectrum_csv_text
 

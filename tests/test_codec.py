@@ -12,6 +12,7 @@ from polarkit import (
     DecodingIntegrityError,
     PolarCode,
     Symbol,
+    digit_reversal_permutation,
     encode,
     genie_erasure_flags,
     kernel_step_decide,
@@ -23,7 +24,12 @@ from polarkit import (
     symbols_from_str,
     symbols_to_str,
 )
-from polarkit.codec import _encode_batch, _map_decode_batch, decode_batch
+from polarkit.codec import (
+    _encode_batch,
+    _map_decode_batch,
+    _reverse_digits,
+    decode_batch,
+)
 
 G2 = parse_kernel("10,11")
 G101 = parse_kernel("100,110,011")
@@ -853,6 +859,44 @@ def test_encode_of_non_c_contiguous_input_equals_c_input(kernel, depth):
         _encode_batch(kernel, reversed_columns),
         _encode_batch(kernel, reversed_columns.copy()),
     )
+
+
+@pytest.mark.parametrize("l,max_depth", [(2, 10), (3, 6), (4, 5), (5, 4), (12, 3)])
+@pytest.mark.parametrize("width", [0, 1, 5])
+def test_reverse_digits_equals_the_permutation(l, max_depth, width):
+    rng = np.random.default_rng(l * 10 + width)
+    for n in range(max_depth + 1):
+        rows = l**n
+        want = None
+        for a in (
+            rng.integers(0, 256, (rows, width), dtype=np.uint8),
+            rng.integers(0, 2**63, (width, rows), dtype=np.uint64).T,
+        ):
+            want = a[digit_reversal_permutation(l, n)]
+            got = _reverse_digits(a, l)
+            assert got.flags.c_contiguous and got.dtype == a.dtype
+            assert np.array_equal(got, want)
+        # into a longer flat buffer, as the screen passes its planes' buffer
+        buffer = np.full(rows * width + 7, 3, dtype=want.dtype)
+        got = _reverse_digits(np.ascontiguousarray(want), l, out=buffer)
+        assert got.shape == (rows, width)
+        assert not got.size or np.shares_memory(got, buffer)
+        assert np.array_equal(got, want[digit_reversal_permutation(l, n)])
+        assert (buffer[rows * width :] == 3).all()
+
+
+def test_reverse_digits_of_the_longest_g2_code():
+    # 25 axes, inside numpy 2.0's limit of 64 dimensions
+    a = np.random.default_rng(24).integers(0, 256, (1 << 24, 1), dtype=np.uint8)
+    assert np.array_equal(_reverse_digits(a, 2), a[digit_reversal_permutation(2, 24)])
+
+
+@pytest.mark.parametrize("kernel,depth", [(G2, 6), (G101, 4), (GE, 3)])
+def test_encoded_words_are_laid_out_frames_fastest(kernel, depth):
+    # The decoder's reductions are fast on the transpose of a C-ordered
+    # (N, B) array, and the flush hands it the encoder's words.
+    u = np.random.default_rng(7).integers(0, 2, (9, kernel.l**depth), dtype=np.uint8)
+    assert _encode_batch(kernel, u).T.flags.c_contiguous
 
 
 def test_decode_of_fortran_ordered_batch_equals_c_ordered():
