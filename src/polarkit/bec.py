@@ -247,7 +247,7 @@ def select_information_set(s: Spectrum, K: int) -> np.ndarray:
 
 def _information_masks(s: Spectrum, ks):
     """Masks of `select_information_set` for each K of `ks`, from one sort,
-    held as int32 (N <= 2^24) while the caller reads each mask."""
+    whose order is held as int32 (N <= 2^24) while the caller reads them."""
     order = np.argsort(s.z, kind="stable").astype(np.int32)
     for k in ks:
         mask = np.zeros(s.size, dtype=bool)

@@ -35,21 +35,21 @@ descending only the frames with an erased message measured slower.
 A node packs the l message columns of each kernel operation into words in
 the narrowest dtype that holds l + 1 bits (uint8 for l < 8, uint16 up to
 l = 12), and each child message is one gather from two per-kernel tables.
-An encode of B frames holds two (B, N) arrays. A decode of B words of
-length N holds its decisions and flags (2 bytes per symbol) and, at each
-open node, the node's two masks and its children's partial re-encoding,
-about 3/(l - 1) packed words per symbol over all open levels. Words, messages and bools are freed once read: the digit-reversed
-words once the root's masks are built, and a caller's words at once if they
-are passed as a temporary (from Python 3.11; before it, a call holds its
-arguments until it returns). A node's second mask is built in its own
-messages, its partial re-encoding is allocated once its first child
-returns, and the decisions and flags by the first leaf that writes them,
-whatever the root (an empty batch takes the same path). So
-`sim._decode_flagged`, which also holds the frames' inputs packed, peaks at
-a level-1 node, at 3.6-4.5 bytes per symbol (B * N) for G_e and G_3: the
-outputs, the root's three packed words per kernel operation (3/l per
-symbol) and that node's messages with its masks, or with its known-message
-leaf's re-encoding.
+An encode of B frames holds two (B, N) arrays. A decode of B words of length
+N holds its decisions and flags (2 bytes per symbol) and, at each open node,
+the node's two masks and its children's partial re-encoding, about 3/(l - 1)
+packed words per symbol over all open levels. Words, messages and bools are
+freed once read: the digit-reversed words once the root's masks are built,
+and a caller's words at once if they are passed as a temporary (from Python
+3.11; before it, a call holds its arguments until it returns). A node's
+second mask is built in its own messages, its partial re-encoding is
+allocated once its first child returns, and the decisions and flags by the
+first leaf that writes them, whatever the root (an empty batch takes the
+same path). So `sim._decode_flagged`, which also holds the frames' inputs
+packed, peaks at a level-1 node, at 3.6-4.5 bytes per symbol (B * N) for G_e
+and G_3: the outputs, the root's three packed words per kernel operation
+(3/l per symbol) and that node's messages with its masks, or with its
+known-message leaf's re-encoding.
 
 The genie screen runs the same recursion on bit-packed knownness planes of
 many trials at once. It has two entry points over one per-level routine:

@@ -476,8 +476,10 @@ def test_bound_curve_sorts_once_for_eight_rates(monkeypatch):
     sp = evolve_spectrum(GE, 0.5, 4)
     sp = Spectrum(sp.kernel, sp.depth, np.round(sp.z, 2), sp.design_eps)
     rates = [0.0, 0.1, 0.25, 1 / 3, 0.5, 0.6, 0.9, 1.0]
+    order = np.argsort(sp.z, kind="stable")
     want = [(r, round(r * sp.size)) for r in rates]
-    want = [(r, k, bler_upper_bound(sp, k)) for r, k in want]
+    want = [(r, k, float(sp.z[np.sort(order[:k])].sum())) for r, k in want]
+    assert [bler_upper_bound(sp, k) for _, k, _ in want] == [b for *_, b in want]
     sorts, argsort = [], np.argsort
 
     def counted(*args, **kwargs):
