@@ -867,7 +867,6 @@ def test_reverse_digits_equals_the_permutation(l, max_depth, width):
     rng = np.random.default_rng(l * 10 + width)
     for n in range(max_depth + 1):
         rows = l**n
-        want = None
         for a in (
             rng.integers(0, 256, (rows, width), dtype=np.uint8),
             rng.integers(0, 2**63, (width, rows), dtype=np.uint64).T,
@@ -876,7 +875,7 @@ def test_reverse_digits_equals_the_permutation(l, max_depth, width):
             got = _reverse_digits(a, l)
             assert got.flags.c_contiguous and got.dtype == a.dtype
             assert np.array_equal(got, want)
-        # into a longer flat buffer, as the screen passes its planes' buffer
+        # into a flat buffer, as the screen passes one, here a longer one
         buffer = np.full(rows * width + 7, 3, dtype=want.dtype)
         got = _reverse_digits(np.ascontiguousarray(want), l, out=buffer)
         assert got.shape == (rows, width)
