@@ -27,6 +27,7 @@ from .errors import check_design_rate, check_key_word, check_unit_interval
 # enumerate_kernels is unused here but stays importable: bench/tracing.py
 # hooks `polarkit.cli.enumerate_kernels`.
 from .kernels import (  # noqa: F401
+    FAMILIES,
     batch_distances,
     batch_exponents,
     check_size_budget,
@@ -65,11 +66,7 @@ def parse_args(argv) -> argparse.Namespace:
 
     p = sub.add_parser("survey", help="group a kernel family by polarisation")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument(
-        "--family",
-        choices=["all", "lower_triangular_unit_diagonal"],
-        default="all",
-    )
+    p.add_argument("--family", choices=FAMILIES, default=FAMILIES[0])
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--depth", type=int, default=None, help="default: 7 if size=3 else 5")
     p.add_argument("--out", help="survey CSV destination")
@@ -78,9 +75,7 @@ def parse_args(argv) -> argparse.Namespace:
     p.add_argument("--kernel", action="append", help="may repeat")
     p.add_argument("--size", type=int)
     p.add_argument(
-        "--family",
-        choices=["all", "lower_triangular_unit_diagonal"],
-        help="with --size; default: lower_triangular_unit_diagonal",
+        "--family", choices=FAMILIES, help=f"with --size; default: {FAMILIES[1]}"
     )
 
     p = sub.add_parser("bound", help="block-error union bounds over rates")
@@ -180,7 +175,7 @@ def _cmd_exponent(ns) -> int:
         batches = [([k.descriptor()], [k.row_bits()], k.l) for k in kernels]
     elif ns.size is not None:
         check_integer(ns.size, "--size", 2)
-        rows = family_rows(ns.size, ns.family or "lower_triangular_unit_diagonal")
+        rows = family_rows(ns.size, ns.family or FAMILIES[1])
         batches = [(row_descriptors(rows), rows, ns.size)]
     else:
         raise ValueError("provide --kernel or --size")
@@ -258,6 +253,14 @@ def _cmd_simulate(ns) -> int:
     if ns.code is not None and given:
         raise ValueError(f"--code and {given[0]} are mutually exclusive")
     check_key_word(ns.seed, "--seed")
+    # The run's options are checked before the code is read or built: an
+    # inline construction evolves its whole spectrum.
+    eps_list = _rates(ns.eps, "--eps")
+    check_integer(ns.min_frame_errors, "--min-frame-errors", 1)
+    check_integer(ns.max_trials, "--max-trials", 1)
+    if ns.max_trials > _SEED_LIMIT:
+        raise ValueError("--max-trials must be <= 2**64: trial ids are 64-bit")
+    stop = StopRule(min_frame_errors=ns.min_frame_errors, max_trials=ns.max_trials)
     if ns.code:
         try:
             with open(ns.code) as fh:
@@ -274,12 +277,6 @@ def _cmd_simulate(ns) -> int:
         code = _construct_code(ns, design_eps, "--design-eps")
     else:
         raise ValueError("provide --code, or --kernel with --depth and --rate")
-    eps_list = _rates(ns.eps, "--eps")
-    check_integer(ns.min_frame_errors, "--min-frame-errors", 1)
-    check_integer(ns.max_trials, "--max-trials", 1)
-    if ns.max_trials > _SEED_LIMIT:
-        raise ValueError("--max-trials must be <= 2**64: trial ids are 64-bit")
-    stop = StopRule(min_frame_errors=ns.min_frame_errors, max_trials=ns.max_trials)
     reports = []
     for eps in eps_list:
         report = run_monte_carlo(code, eps, stop, master_seed=ns.seed)

@@ -131,7 +131,8 @@ class PolarCode:
     """A polar code: kernel, recursion depth, frozen structure, design point.
 
     `frozen_mask[i] = 1` marks position i frozen; `frozen_values` carries the
-    frozen bits at those positions (zero elsewhere).
+    frozen bits at those positions (zero elsewhere). The code holds its
+    decoding plan (`_node_plan`) from its first decode or screen on.
     """
 
     kernel: Kernel
@@ -337,7 +338,6 @@ def encode(code: PolarCode, u) -> np.ndarray:
 _MAX_TABLE_MASKS = 1 << 12
 
 
-@functools.lru_cache(maxsize=128)
 def _round_tables(kernel: Kernel):
     """Per (position, known-mask) decision tables for one kernel round.
 
@@ -356,7 +356,8 @@ def _round_tables(kernel: Kernel):
     ones sum to a bare tag led by its own bit: `gf2.solve`'s solution with
     free variables zero. LAM is 0 where DET fails.
 
-    The returned arrays are immutable and shared between concurrent decodes.
+    The returned arrays are immutable. Each code's `_node_plan` builds them
+    once, and `_monotone_forms` once per kernel.
     """
     l = kernel.l
     check_size_budget(2, l, _MAX_TABLE_MASKS, "decoding-table mask")
@@ -435,7 +436,8 @@ class _ScreenLevel(NamedTuple):
 
 
 class _NodePlan(NamedTuple):
-    """Node classes of a code's decoding tree, in arrays, once per code.
+    """The decoder's per-code data: node classes of the decoding tree, in
+    arrays, and the kernel's decision tables. Every array is read-only.
 
     Node i at level k covers inputs i*S..(i+1)*S-1, S = N / l^k. `root` is
     the class of the whole code and `levels` drive the pruned screen.
@@ -444,6 +446,13 @@ class _NodePlan(NamedTuple):
     (N,) array `encoded` holds over each one the re-encoding of its frozen
     values (and 0 elsewhere). `inverse` is the inverse kernel matrix, with
     which the decoder inverts a node's known messages.
+
+    The child tables are over (l + 1)-bit values, in the narrowest dtype
+    that holds them: `lamx[t, kappa]` is LAM where u_t is determined and bit
+    l alone where it is not; `par` maps a value to the parity of its low l
+    bits, or to ERASED when bit l is set; `row_bits` are the kernel's rows.
+    Every observation word carries bit l, so a child message is one gather:
+    par[lamx[t][kappa] & (obs ^ prior)].
     """
 
     root: int
@@ -451,14 +460,21 @@ class _NodePlan(NamedTuple):
     rate0: tuple[np.ndarray, ...]
     encoded: np.ndarray
     inverse: np.ndarray
+    lamx: np.ndarray
+    par: np.ndarray
+    row_bits: np.ndarray
 
 
-@functools.lru_cache(maxsize=32)
 def _node_plan(code: PolarCode) -> _NodePlan:
-    l, n = code.kernel.l, code.N
-    # Every plan is for decoding, so an undecodable kernel is refused here,
+    """The code's plan, built at its first use and kept on the code, so
+    every later call returns it and it is freed with the code. Concurrent
+    first uses may each build one; all of them return the one kept."""
+    if "_plan" in vars(code):
+        return vars(code)["_plan"]
+    # The tables come first: their budget refuses an undecodable kernel
     # before the plan or any channel work.
-    check_size_budget(2, l, _MAX_TABLE_MASKS, "decoding-table mask")
+    det, lam = _round_tables(code.kernel)
+    l, n = code.kernel.l, code.N
     sizes = [n // l**k for k in range(code.depth + 1)]
     classes, rate0 = [], []
     encoded = np.zeros(n, dtype=np.uint8)
@@ -474,7 +490,6 @@ def _node_plan(code: PolarCode) -> _NodePlan:
         reached.setflags(write=False)
         classes.append(cls)
         rate0.append(reached)
-    encoded.setflags(write=False)
     levels = []
     kept = np.flatnonzero(classes[0] == _MIXED)
     for cls in classes[1:]:
@@ -499,8 +514,16 @@ def _node_plan(code: PolarCode) -> _NodePlan:
     # Row i of the inverse is the x with x G = e_i.
     g = code.kernel.matrix
     inverse = np.array([gf2.solve(g.T, e) for e in np.eye(l, dtype=np.uint8)])
-    inverse.setflags(write=False)
-    return _NodePlan(int(classes[0][0]), tuple(levels), tuple(rate0), encoded, inverse)
+    narrow = np.uint8 if l < 8 else np.uint16
+    lamx = np.where(det, lam, 1 << l).astype(narrow)
+    x = np.arange(2 << l)
+    par = np.where(x >> l, Symbol.ERASED, np.bitwise_count(x) & 1).astype(np.uint8)
+    row_bits = np.array(code.kernel.row_bits(), dtype=narrow)
+    for arr in (encoded, inverse, lamx, par, row_bits):
+        arr.setflags(write=False)
+    plan = _NodePlan(int(classes[0][0]), tuple(levels), tuple(rate0), encoded,
+                     inverse, lamx, par, row_bits)
+    return vars(code).setdefault("_plan", plan)
 
 
 # --------------------------------------------------------------------------
@@ -525,9 +548,9 @@ def _symbols(y: np.ndarray) -> np.ndarray:
 def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised sc_decode over a (B, N) symbol batch -> (u_hat, flags).
 
-    Each call builds its own decoder state (the decision tables are cached
-    per kernel; the read-only rate-0 re-encodings and inverse kernel per
-    code in its `_node_plan`), so concurrent decodes of one code need no
+    Each call builds its own decoder state and reads the rest (the decision
+    tables, the rate-0 re-encodings and the inverse kernel, all read-only)
+    from the code's `_node_plan`, so concurrent decodes of one code need no
     coordination. Raises ValueError unless every symbol is 0, 1 or 2
     (erased). Whatever the symbols, frozen positions hold their frozen
     values and are never flagged.
@@ -538,20 +561,11 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ys = _symbols(ys)
     l, batch = code.kernel.l, ys.shape[0]
     plan = _node_plan(code)
-    # Child tables over (l + 1)-bit values: lamx[t, kappa] is LAM where u_t
-    # is determined and bit l alone where it is not; par maps a value to the
-    # parity of its low l bits, or to ERASED when bit l is set. Every
-    # observation word carries bit l, so a child message is one gather:
-    # par[lamx[t][kappa] & (obs ^ prior)].
-    narrow = np.uint8 if l < 8 else np.uint16
-    det, lam = _round_tables(code.kernel)
-    lamx = np.where(det, lam, 1 << l).astype(narrow)
-    x = np.arange(2 << l)
-    par = np.where(x >> l, Symbol.ERASED, np.bitwise_count(x) & 1).astype(np.uint8)
-    row_bits = np.array(code.kernel.row_bits(), dtype=narrow)
+    lamx, par, row_bits = plan.lamx, plan.par, plan.row_bits
+    narrow = row_bits.dtype.type  # uint8 for l < 8, uint16 up to l = 12
     shifts = np.arange(l, dtype=narrow)[:, None]
     observed = narrow(1 << l)
-    values, frozen = code.frozen_values, code.frozen_mask == 1
+    values, frozen = code.frozen_values, code.frozen_mask
     u_hat = flags = None
     poison = np.zeros(batch, dtype=bool)
 
@@ -605,7 +619,7 @@ def decode_batch(code: PolarCode, ys: np.ndarray) -> tuple[np.ndarray, np.ndarra
                 allocate()
                 decided[poison] = values[lo : lo + m]
                 u_hat[:, lo : lo + m] = decided
-                flags[poison, lo : lo + m] = ~frozen[lo : lo + m]
+                flags[poison, lo : lo + m] = frozen[lo : lo + m] ^ 1
                 return msg
         kappa = pack(known)
         del known  # freed before the next mask is built

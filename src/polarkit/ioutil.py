@@ -14,7 +14,6 @@ _WRITE_SLICE characters at a time; 2^18 keeps a slice and its bytes
 from __future__ import annotations
 
 import os
-import tempfile
 from pathlib import Path
 from typing import Iterable
 
@@ -23,11 +22,6 @@ _CSV_BLOCK = 1 << 12
 
 #: characters per write; the encoder never holds more than one slice's bytes
 _WRITE_SLICE = 1 << 18
-
-#: the process umask, read once at import: os.umask can read it only by
-#: setting it, which must not happen while other threads create files
-_UMASK = os.umask(0o077)
-os.umask(_UMASK)
 
 
 def concat_text(blocks: Iterable[str]) -> str:
@@ -44,18 +38,24 @@ def atomic_write_text(path, text: str) -> Path:
     Interrupted runs never leave a truncated file behind. I/O failures are
     re-raised with the destination path in the message. The text is written
     in slices of _WRITE_SLICE characters, so encoding it never makes a second
-    full-size copy. The file gets the mode a plain `open` would give it,
-    0o666 less the umask, rather than the temp file's 0o600.
+    full-size copy. The temp file is created with mode 0o666, as `open`
+    creates a file, so the umask in force at the write gives the file the
+    mode a plain `open` would.
     """
     target = Path(path)
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+        fd = None
+        while fd is None:  # a fresh random name until one is free
+            tmp = f"{target}.{os.urandom(6).hex()}"
+            try:
+                fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except FileExistsError:
+                pass
         try:
             with os.fdopen(fd, "w") as fh:
                 for i in range(0, len(text), _WRITE_SLICE):
                     fh.write(text[i : i + _WRITE_SLICE])
-            os.chmod(tmp, 0o666 & ~_UMASK)
             os.replace(tmp, target)
         except BaseException:
             try:

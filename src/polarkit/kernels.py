@@ -26,6 +26,10 @@ _MAX_SPAN_MEMBERS = 1 << 19
 #: (kernel, span member) lanes per block of the partial-distance search
 _BLOCK_LANES = 1 << 16
 
+#: the kernel families, by name: every l x l matrix, singular ones included,
+#: and the lower-triangular matrices with unit diagonal
+FAMILIES = ("all", "lower_triangular_unit_diagonal")
+
 #: most members `family_rows` enumerates: every 4x4 matrix and every
 #: lower-triangular family up to 6x6
 _MAX_FAMILY_MEMBERS = 1 << 16
@@ -189,32 +193,28 @@ def rate_exponent_table(family: Sequence[Kernel]) -> list[tuple[Kernel, float]]:
     return list(zip(kernels, exps))
 
 
-def family_rows(l: int, family: str = "all") -> np.ndarray:
+def family_rows(l: int, family: str = FAMILIES[0]) -> np.ndarray:
     """Row bits of every kernel of a family, shape (M, l), dtype uint32.
 
     Bit c of entry [m, r] holds column c of row r of kernel m, as in
     `Kernel.row_bits`. Kernels come in binary-counting order: free entries
     are filled row-major from a counter whose least significant bit is the
-    last free entry, so the all-zero filling comes first. The
-    "lower_triangular_unit_diagonal" family fixes the diagonal to 1 and the
-    strict upper triangle to 0; "all" ranges over every l*l matrix, singular
-    ones included. Families above _MAX_FAMILY_MEMBERS members raise
+    last free entry, so the all-zero filling comes first. `family` is one of
+    FAMILIES: "all" ranges over every l*l matrix, singular ones included;
+    "lower_triangular_unit_diagonal" fixes the diagonal to 1 and the strict
+    upper triangle to 0. Families above _MAX_FAMILY_MEMBERS members raise
     BudgetExceededError before anything is allocated.
     """
     l = check_integer(l, "kernel size", 2)
-    if family == "all":
-        nbits = l * l
-    elif family == "lower_triangular_unit_diagonal":
-        nbits = l * (l - 1) // 2
-    else:
+    if family not in FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
+    full = family == FAMILIES[0]
+    nbits = l * l if full else l * (l - 1) // 2
     check_size_budget(2, nbits, _MAX_FAMILY_MEMBERS, f"{l}x{l} {family} family")
-    if family == "all":
-        free = [(r, c) for r in range(l) for c in range(l)]
-        base = np.zeros(l, dtype=np.uint32)
-    else:
-        free = [(r, c) for r in range(l) for c in range(r)]
-        base = (1 << np.arange(l)).astype(np.uint32)
+    # Every entry is free in the full family; the lower-triangular one starts
+    # from the identity, with columns 0..r-1 of row r free.
+    free = [(r, c) for r in range(l) for c in range(l if full else r)]
+    base = np.zeros(l, np.uint32) if full else 1 << np.arange(l, dtype=np.uint32)
     counter = np.arange(1 << nbits, dtype=np.uint32)
     rows = np.tile(base, (counter.shape[0], 1))
     for pos, (r, c) in enumerate(free):
@@ -235,7 +235,7 @@ def row_descriptors(rows: np.ndarray, sep: str = ",") -> list[str]:
     return text.tobytes().decode("ascii").split("\n")[:-1]
 
 
-def enumerate_kernels(l: int, family: str = "all") -> Iterator[Kernel]:
+def enumerate_kernels(l: int, family: str = FAMILIES[0]) -> Iterator[Kernel]:
     """Every kernel of a family, in `family_rows` order."""
     return (Kernel.from_row_bits(r) for r in family_rows(l, family))
 

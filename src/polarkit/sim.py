@@ -47,7 +47,7 @@ event depends only on the erasure pattern: the first ambiguous information
 decision of the decoder coincides with the first genie-aided ambiguity
 (before it, every decision is determined and correct). run_monte_carlo
 therefore screens the bitplanes in bulk with the bit-packed genie recursion,
-pruned by the code's node plan (`codec._node_plan`, built once per code):
+pruned by the code's node plan (`codec._node_plan`, kept on the code):
 subtrees whose inputs are all frozen are skipped, and a subtree whose inputs
 are all information bits is replaced by the OR of its unknown message
 planes, so the screen returns the frame-error plane of the chunk directly

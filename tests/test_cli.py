@@ -608,6 +608,33 @@ def test_exponent_family_defaults_to_lower_triangular(capsys):
     assert len(default.splitlines()) == 8
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--eps", "1.5"), ("--min-frame-errors", "0"), ("--max-trials", str(2**64 + 1))],
+    ids=["eps", "min_frame_errors", "max_trials"],
+)
+@pytest.mark.parametrize("source", ["inline", "file"])
+def test_simulate_refuses_a_bad_option_before_the_code(
+    tmp_path, capsys, monkeypatch, source, option, value
+):
+    # Neither the depth-12 spectrum of an inline construction is evolved nor
+    # a code file read (this one does not exist) before the refusal.
+    from polarkit import codec
+
+    def no_spectrum(*args):
+        raise AssertionError("spectrum evolved before the options were checked")
+
+    monkeypatch.setattr(codec, "evolve_spectrum", no_spectrum)
+    if source == "inline":
+        code = ["--kernel", "10,11", "--depth", "12", "--rate", "0.5"]
+    else:
+        code = ["--code", str(tmp_path / "missing.json")]
+    assert run(["simulate", *code, "--eps", "0.5", option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {option}")
+
+
 def test_simulate_design_eps_defaults_to_one_half(capsys):
     argv = ["simulate", "--kernel", "10,11", "--depth", "3", "--rate", "0.5",
             "--eps", "0.5", "--max-trials", "10"]

@@ -76,8 +76,8 @@ def test_atomic_write_text_keeps_the_write_error_when_clean_up_fails(
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
 @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
 def test_atomic_write_text_gives_the_mode_of_a_plain_file(tmp_path, umask):
-    # In a child started under `umask`, since the module reads it at import:
-    # the written file's mode equals that of a file made by open().
+    # In a child started under `umask`: the written file's mode equals that
+    # of a file made by open().
     script = (
         "import os, sys\n"
         "from polarkit.ioutil import atomic_write_text\n"
@@ -94,3 +94,25 @@ def test_atomic_write_text_gives_the_mode_of_a_plain_file(tmp_path, umask):
     )
     want = oct(0o666 & ~umask)
     assert done.stdout.split() == [want, want]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_atomic_write_text_applies_the_umask_in_force_when_it_writes(tmp_path):
+    # The child sets a stricter umask after importing the module, and the
+    # write follows it as open() does.
+    script = (
+        "import os, sys\n"
+        "from polarkit.ioutil import atomic_write_text\n"
+        "os.umask(0o077)\n"
+        "atomic_write_text(sys.argv[1], 'x')\n"
+        "open(sys.argv[2], 'w').close()\n"
+        "print(oct(os.stat(sys.argv[1]).st_mode & 0o777),"
+        " oct(os.stat(sys.argv[2]).st_mode & 0o777))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ioutil.__file__).parents[1]))
+    paths = [str(tmp_path / "atomic"), str(tmp_path / "plain")]
+    done = subprocess.run(
+        [sys.executable, "-c", script, *paths],
+        env=env, umask=0o022, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.split() == ["0o600", "0o600"]

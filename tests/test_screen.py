@@ -1,14 +1,17 @@
 """The pruned frame screen of run_monte_carlo against the full per-position
 screen and against the decoder."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polarkit import Kernel, PolarCode, gf2, parse_kernel
+from polarkit import Kernel, PolarCode, StopRule, codec, gf2, parse_kernel
+from polarkit import run_monte_carlo
 from polarkit.codec import (
     _encode_batch,
     _kron_encode,
@@ -151,6 +154,43 @@ def test_node_plan_is_computed_once_per_code():
     # The reached rate-0 nodes are disjoint, and nothing else is encoded.
     assert covered.max() == 1 and not plan.encoded[covered == 0].any()
     assert plan.encoded.any()
+
+
+def test_node_plan_is_freed_with_its_code():
+    # The plan lives on its code, so nothing keeps it once the code is gone.
+    code = PolarCode.construct(G3, 4, 40, 0.5)
+    encoded = weakref.ref(_node_plan(code).encoded)
+    del code
+    gc.collect()
+    assert encoded() is None
+
+
+def test_decision_tables_are_built_once_per_code(monkeypatch):
+    # Repeated decodes and a Monte Carlo run of a code read its plan's tables;
+    # each new code builds them once more. The screen's forms are cached per
+    # kernel, so they are built before counting.
+    calls = []
+    round_tables = codec._round_tables
+
+    def counted(kernel):
+        calls.append(kernel)
+        return round_tables(kernel)
+
+    codec._monotone_forms(GE)
+    monkeypatch.setattr(codec, "_round_tables", counted)
+    rng = np.random.default_rng(5)
+    for built in (1, 2):
+        code = PolarCode.construct(GE, 3, 32, 0.5)
+        for batch in (1, 7, 40):
+            ys = rng.integers(0, 3, (batch, code.N))
+            u_hat, _ = decode_batch(code, ys)
+            assert u_hat.shape == (batch, code.N)
+        report = run_monte_carlo(code, 0.45, StopRule(20, 4096), master_seed=built)
+        assert report.frame_errors == 20
+        assert calls == [GE] * built
+    plan = _node_plan(code)
+    for arr in (plan.inverse, plan.lamx, plan.par, plan.row_bits):
+        assert not arr.flags.writeable
 
 
 def random_invertible_kernel(l, rng):
