@@ -212,12 +212,14 @@ def _cmd_bound(ns) -> int:
 
 
 def _resolve_k(ns, n: int) -> int:
+    """K from --k, else from --rate; a --rate that --k overrides is still
+    checked."""
+    rate = None if ns.rate is None else check_unit_interval(ns.rate, "--rate")
     if ns.info_k is not None:
-        return ns.info_k
-    if ns.rate is not None:
-        check_unit_interval(ns.rate, "--rate")
-        return round(ns.rate * n)
-    raise ValueError("provide --rate or --k")
+        return check_integer(ns.info_k, "--k", maximum=n)
+    if rate is None:
+        raise ValueError("provide --rate or --k")
+    return round(rate * n)
 
 
 def _construct_code(ns, design_eps: float, eps_label: str) -> PolarCode:

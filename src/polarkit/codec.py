@@ -74,7 +74,6 @@ All indices (bits, channels, rounds) are 0-based; serialised artifacts use
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -357,7 +356,8 @@ def _round_tables(kernel: Kernel):
     free variables zero. LAM is 0 where DET fails.
 
     The returned arrays are immutable. Each code's `_node_plan` builds them
-    once, and `_monotone_forms` once per kernel.
+    once, for its decoder and its screen; the full screen behind
+    `genie_erasure_flags` builds them once per call.
     """
     l = kernel.l
     check_size_budget(2, l, _MAX_TABLE_MASKS, "decoding-table mask")
@@ -436,8 +436,9 @@ class _ScreenLevel(NamedTuple):
 
 
 class _NodePlan(NamedTuple):
-    """The decoder's per-code data: node classes of the decoding tree, in
-    arrays, and the kernel's decision tables. Every array is read-only.
+    """The decoder's and the screen's per-code data: node classes of the
+    decoding tree, in arrays, and the kernel's decision rule in the forms
+    each recursion reads. Every array is read-only.
 
     Node i at level k covers inputs i*S..(i+1)*S-1, S = N / l^k. `root` is
     the class of the whole code and `levels` drive the pruned screen.
@@ -452,7 +453,8 @@ class _NodePlan(NamedTuple):
     l alone where it is not; `par` maps a value to the parity of its low l
     bits, or to ERASED when bit l is set; `row_bits` are the kernel's rows.
     Every observation word carries bit l, so a child message is one gather:
-    par[lamx[t][kappa] & (obs ^ prior)].
+    par[lamx[t][kappa] & (obs ^ prior)]. `forms` are the screen's
+    `_monotone_forms` of the same DET table.
     """
 
     root: int
@@ -463,6 +465,7 @@ class _NodePlan(NamedTuple):
     lamx: np.ndarray
     par: np.ndarray
     row_bits: np.ndarray
+    forms: tuple
 
 
 def _node_plan(code: PolarCode) -> _NodePlan:
@@ -522,7 +525,7 @@ def _node_plan(code: PolarCode) -> _NodePlan:
     for arr in (encoded, inverse, lamx, par, row_bits):
         arr.setflags(write=False)
     plan = _NodePlan(int(classes[0][0]), tuple(levels), tuple(rate0), encoded,
-                     inverse, lamx, par, row_bits)
+                     inverse, lamx, par, row_bits, _monotone_forms(det))
     return vars(code).setdefault("_plan", plan)
 
 
@@ -742,46 +745,46 @@ def map_oracle_decode(code: PolarCode, y) -> DecodeResult:
 # the last level are in input order.
 
 
-@functools.lru_cache(maxsize=128)
-def _monotone_forms(kernel: Kernel) -> list[tuple[bool, list[list[int]]]]:
-    """How the screen evaluates each round position's determination.
+def _monotone_forms(det: np.ndarray) -> tuple:
+    """How the screen evaluates each round position's determination, from
+    the (l, 2^l) DET table of `_round_tables`.
 
     Determination is monotone in the set of non-erased columns, so the DET
     table collapses to an OR of ANDs over the minimal determining column
     sets, or to an AND of ORs over the complements of the maximal
     non-determining sets. Position t gets whichever takes fewer array
     operations, as (is AND of ORs, column groups); ties go to the OR of ANDs,
-    and a position nothing determines gets no groups.
+    and a position nothing determines gets no groups. The forms are tuples,
+    so the code's `_node_plan` that holds them stays immutable.
     """
-    det, _ = _round_tables(kernel)
-    l = kernel.l
+    l = det.shape[0]
     bits = [1 << c for c in range(l)]
 
     def cols(kappa):
-        return [c for c in range(l) if (kappa >> c) & 1]
+        return tuple(c for c in range(l) if (kappa >> c) & 1)
 
     def cost(groups):  # a one-column group is still one copy
         return sum(max(1, len(g) - 1) for g in groups) + len(groups) - 1
 
     forms = []
     for t in range(l):
-        terms = [
+        terms = tuple(
             cols(kappa)
             for kappa in range(1 << l)
             if det[t, kappa]
             and not any(kappa & b and det[t, kappa & ~b] for b in bits)
-        ]
-        clauses = [
+        )
+        clauses = tuple(
             cols(~kappa & ((1 << l) - 1))
             for kappa in range(1 << l)
             if not det[t, kappa]
             and all(kappa & b or det[t, kappa | b] for b in bits)
-        ]
+        )
         if terms and clauses and cost(clauses) < cost(terms):
             forms.append((True, clauses))
         else:
             forms.append((False, terms))
-    return forms
+    return tuple(forms)
 
 
 def _screen_round(forms, ops, out, parents, scratch) -> None:
@@ -814,9 +817,10 @@ def _screen_round(forms, ops, out, parents, scratch) -> None:
                 outer(acc, tmp, out=acc)
 
 
-def _screen_levels(kernel: Kernel, levels, planes: np.ndarray):
+def _screen_levels(forms, levels, planes: np.ndarray):
     """Run the screen's levels over (N, W) planes of unsigned words (uint8
-    or uint64) in input order, overwriting `planes`.
+    or uint64) in input order, overwriting `planes`, with the kernel's
+    `_monotone_forms` (l = len(forms)).
 
     Each level is a `_ScreenLevel` over the nodes kept by the level above
     (the root first). Returns the AND of the planes of every message of
@@ -824,7 +828,7 @@ def _screen_levels(kernel: Kernel, levels, planes: np.ndarray):
     by the last level, node-major; within a node of size above 1 they are
     in the layout of the comment above.
     """
-    l, forms = kernel.l, _monotone_forms(kernel)
+    l = len(forms)
     n, width = planes.shape
     # Each level reads its parents from `src` and writes their children to
     # `dst`; the consumed parent planes then take the compacted children.
@@ -875,7 +879,8 @@ def _screen_positions(kernel: Kernel, depth: int, known: np.ndarray) -> np.ndarr
     values.
     """
     keep_all = _ScreenLevel((slice(None),) * kernel.l, info=None, mixed=None)
-    return _screen_levels(kernel, (keep_all,) * depth, known)[1]
+    forms = _monotone_forms(_round_tables(kernel)[0])
+    return _screen_levels(forms, (keep_all,) * depth, known)[1]
 
 
 def _screen_known_planes(
@@ -886,7 +891,9 @@ def _screen_known_planes(
     The pruned screen, which `run_monte_carlo` uses: bit j of the returned
     (W,) plane is set iff genie-aided SC leaves some information input of
     trial j undetermined, i.e. iff the frame errs. `plan` is the code's
-    `_node_plan`; `known` is overwritten. Rate-0 children are dropped, since
+    `_node_plan`, which holds the screen's forms, so `kernel` is not read
+    (it stays first, as `bench/tracing.py` reads `known` as the third
+    argument); `known` is overwritten. Rate-0 children are dropped, since
     frozen inputs never set the flag. Over an invertible kernel a rate-1
     child leaves an input undetermined iff one of its messages is unknown:
     with every message known each round determines all l inputs, and with
@@ -901,7 +908,7 @@ def _screen_known_planes(
     # As whole 64-bit words the same bitwise operations take an eighth of
     # the element steps, which keeps narrow (long-code) chunks fast.
     words = known.view(np.uint64) if known.shape[1] % 8 == 0 else known
-    return ~_screen_levels(kernel, plan.levels, words)[0].view(np.uint8)
+    return ~_screen_levels(plan.forms, plan.levels, words)[0].view(np.uint8)
 
 
 def genie_erasure_flags(kernel: Kernel, depth: int, erased: np.ndarray) -> np.ndarray:
@@ -912,9 +919,10 @@ def genie_erasure_flags(kernel: Kernel, depth: int, erased: np.ndarray) -> np.nd
     known correctly. The first flagged information position coincides with
     sc_decode's first flagged position on honest channel output, so any-flag
     over the information set equals the decoded frame-error indicator.
+    An l^depth above the spectrum budget raises BudgetExceededError.
     """
     erased = np.asarray(erased, dtype=bool)
-    n = kernel.l ** check_integer(depth, "depth")
+    n = check_size_budget(kernel.l, check_integer(depth, "depth"))
     if erased.ndim != 2 or erased.shape[1] != n:
         raise ValueError(f"expected shape (B, {n}), got {erased.shape}")
     batch = erased.shape[0]

@@ -472,6 +472,9 @@ _CONSTRUCT = ["construct", "--kernel", "10,11", "--out", "refused.json"]
          "--rates must be in [0, 1], got 1.5"),
         (_CONSTRUCT + ["--depth", "3", "--rate", "1.5"], "--rate must be in [0, 1]"),
         (_CONSTRUCT + ["--depth", "3"], "provide --rate or --k"),
+        (_CONSTRUCT + ["--depth", "3", "--k", "4", "--rate", "7"],
+         "--rate must be in [0, 1], got 7.0"),
+        (_CONSTRUCT + ["--depth", "3", "--k", "9"], "--k must be in [0, 8], got 9"),
         (_CONSTRUCT + ["--depth", "-1", "--rate", "0.5"], "--depth must be >= 0"),
         (["bound", "--kernel", "10,11", "--depth", "3", "--rates", ","],
          "--rates must list at least one rate"),
@@ -488,7 +491,8 @@ _CONSTRUCT = ["construct", "--kernel", "10,11", "--out", "refused.json"]
          "survey_depth_0", "exponent_no_kernel",
          "bound_rates_malformed", "analyze_depth_negative", "survey_size_1",
          "bound_rate_above_1", "construct_rate_above_1",
-         "construct_without_rate_or_k", "construct_depth_negative",
+         "construct_without_rate_or_k", "construct_k_with_rate_above_1",
+         "construct_k_above_n", "construct_depth_negative",
          "bound_rates_empty", "simulate_eps_doubled_comma",
          "bound_rates_trailing_comma", "simulate_eps_leading_comma",
          "simulate_kernel_without_rate"],

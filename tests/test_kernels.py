@@ -11,6 +11,7 @@ from polarkit import (
     enumerate_kernels,
     exhaustive_split_oracle,
     family_rows,
+    genie_erasure_flags,
     kronecker_generator,
     parse_kernel,
     partial_distances,
@@ -201,8 +202,14 @@ def test_kronecker_budget():
         lambda: kronecker_generator(G3, 10**6),
         lambda: digit_reversal_permutation(3, 10**6),
         lambda: exhaustive_split_oracle(G3, 10**6, 0.5, 0),
+        lambda: genie_erasure_flags(G3, 10**6, np.zeros((1, 3), dtype=bool)),
     ],
-    ids=["kronecker_generator", "digit_reversal", "exhaustive_split_oracle"],
+    ids=[
+        "kronecker_generator",
+        "digit_reversal",
+        "exhaustive_split_oracle",
+        "genie_erasure_flags",
+    ],
 )
 def test_huge_depths_are_refused_before_the_power(refuse):
     # 3^(10^6) is never formed: it takes time, and printing it in the message

@@ -15,7 +15,9 @@ from polarkit import run_monte_carlo
 from polarkit.codec import (
     _encode_batch,
     _kron_encode,
+    _monotone_forms,
     _node_plan,
+    _round_tables,
     _screen_known_planes,
     _screen_levels,
     _screen_positions,
@@ -166,9 +168,8 @@ def test_node_plan_is_freed_with_its_code():
 
 
 def test_decision_tables_are_built_once_per_code(monkeypatch):
-    # Repeated decodes and a Monte Carlo run of a code read its plan's tables;
-    # each new code builds them once more. The screen's forms are cached per
-    # kernel, so they are built before counting.
+    # Repeated decodes and a Monte Carlo run of a code read its plan's tables
+    # and the screen's forms; each new code builds them once more.
     calls = []
     round_tables = codec._round_tables
 
@@ -176,7 +177,6 @@ def test_decision_tables_are_built_once_per_code(monkeypatch):
         calls.append(kernel)
         return round_tables(kernel)
 
-    codec._monotone_forms(GE)
     monkeypatch.setattr(codec, "_round_tables", counted)
     rng = np.random.default_rng(5)
     for built in (1, 2):
@@ -279,7 +279,8 @@ def test_screen_level_output_layout_depends_only_on_plane_width(
     planes = rng.integers(0, 256, (n, nbytes), dtype=np.uint8)
     planes |= rng.integers(0, 256, planes.shape, dtype=np.uint8)
     keep_all = _ScreenLevel((slice(None),) * l, info=None, mixed=None)
-    got = _screen_levels(kernel, (keep_all,), planes.copy().view(dtype))[1]
+    forms = _monotone_forms(_round_tables(kernel)[0])
+    got = _screen_levels(forms, (keep_all,), planes.copy().view(dtype))[1]
     # One level is one kernel round of operation b over inputs b*l..b*l+l-1.
     ops = [
         _screen_positions(kernel, 1, planes[b * l : (b + 1) * l].copy())
